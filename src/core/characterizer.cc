@@ -16,14 +16,6 @@ Characterizer::Characterizer(CharacterizerOptions options)
     cache_.setShard(options.shard);
 }
 
-const std::vector<workloads::WorkloadProfile> &
-Characterizer::suiteOf(SuiteGeneration generation) const
-{
-    return generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
-}
-
 const std::vector<suite::PairResult> &
 Characterizer::results(SuiteGeneration generation, InputSize size)
 {
@@ -31,10 +23,10 @@ Characterizer::results(SuiteGeneration generation, InputSize size)
                                     static_cast<int>(size));
     auto it = memo_.find(key);
     if (it == memo_.end()) {
-        it = memo_.emplace(key, cache_.runOrLoad(runner_,
-                                                 suiteOf(generation),
-                                                 size,
-                                                 pairObserver_)).first;
+        it = memo_.emplace(key, cache_.runOrLoad(
+                                    runner_, workloads::suiteOf(generation),
+                                    size, pairObserver_))
+                 .first;
     }
     return it->second;
 }

@@ -82,9 +82,6 @@ class Characterizer
     const suite::SuiteRunner &runner() const { return runner_; }
 
   private:
-    const std::vector<workloads::WorkloadProfile> &suiteOf(
-        workloads::SuiteGeneration generation) const;
-
     suite::SuiteRunner runner_;
     suite::ResultCache cache_;
     suite::SuiteRunner::PairObserver pairObserver_;

@@ -41,7 +41,7 @@ CorunResult::worstSlowdown() const
 CorunRunner::CorunRunner(CorunOptions options)
     : options_(std::move(options))
 {
-    SPEC17_ASSERT(options_.sampleOps >= 1000,
+    SPEC17_ASSERT(options_.sampleOps >= suite::kMinSampleOps,
                   "sample too small to be meaningful");
     SPEC17_ASSERT(options_.chunkOps >= 1, "chunk must be positive");
 }

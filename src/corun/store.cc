@@ -1,75 +1,14 @@
 #include "corun/store.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <optional>
 #include <sstream>
-
-#include "suite/journal.hh"
-#include "util/logging.hh"
 
 namespace spec17 {
 namespace corun {
 
-namespace {
-
-/** Payload columns; the journal's column header appends record_hash.
- *  `members` packs one `:`-separated cell per context, `;`-joined. */
-std::string
-columnHeader()
-{
-    return "name,masks,members,record_hash";
-}
-
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream stream(text);
-    while (std::getline(stream, cell, sep))
-        cells.push_back(cell);
-    if (!text.empty() && text.back() == sep)
-        cells.push_back("");
-    return cells;
-}
-
-std::optional<double>
-parseDouble(const std::string &cell)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
-}
-
-std::optional<std::uint64_t>
-parseUint(const std::string &cell, int base = 10)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value =
-        std::strtoull(cell.c_str(), &end, base);
-    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
-        return std::nullopt;
-    return value;
-}
-
-} // namespace
+using suite::splitCells;
 
 std::string
-corunConfigFingerprint(const CorunRunner &runner)
-{
-    return suite::hex16(suite::fnv1a(runner.configKey()));
-}
-
-std::string
-serializeCorunRow(const CorunResult &result)
+CorunResultCodec::serialize(const CorunResult &result)
 {
     // Full double precision so the payload -- and therefore its hash,
     // and therefore the journal bytes -- is identical no matter which
@@ -89,53 +28,55 @@ serializeCorunRow(const CorunResult &result)
     return out.str();
 }
 
-CorunResult
-parseCorunRow(const std::string &payload, std::string &reason)
+std::optional<CorunResult>
+CorunResultCodec::parse(const std::string &payload, std::string &reason)
 {
     CorunResult result;
-    const std::vector<std::string> cells = splitOn(payload, ',');
+    const std::vector<std::string> cells = splitCells(payload, ',');
     if (cells.size() != 3) {
         reason = "expected 3 fields, got "
             + std::to_string(cells.size());
-        return {};
+        return std::nullopt;
     }
     result.name = cells[0];
+    if (result.name.empty()) {
+        reason = "record without a group name";
+        return std::nullopt;
+    }
     if (cells[1] != "-") {
-        for (const std::string &mask : splitOn(cells[1], '+')) {
-            if (mask.size() <= 2 || mask.compare(0, 2, "0x") != 0) {
-                reason = "malformed mask cell '" + cells[1] + "'";
-                return {};
-            }
-            const auto value = parseUint(mask.substr(2), 16);
+        for (const std::string &mask : splitCells(cells[1], '+')) {
+            const auto value = mask.compare(0, 2, "0x") == 0
+                ? suite::parseUintCell(std::string_view(mask).substr(2),
+                                       16)
+                : std::nullopt;
             if (!value || *value > 0xffffffffULL) {
                 reason = "unparsable mask '" + mask + "'";
-                return {};
+                return std::nullopt;
             }
-            result.masks.push_back(
-                static_cast<std::uint32_t>(*value));
+            result.masks.push_back(static_cast<std::uint32_t>(*value));
         }
     }
-    for (const std::string &cell : splitOn(cells[2], ';')) {
-        const std::vector<std::string> fields = splitOn(cell, ':');
+    for (const std::string &cell : splitCells(cells[2], ';')) {
+        const std::vector<std::string> fields = splitCells(cell, ':');
         if (fields.size() != 9) {
             reason = "expected 9 member fields, got "
                 + std::to_string(fields.size());
-            return {};
+            return std::nullopt;
         }
         MemberResult m;
         m.name = fields[0];
-        const auto cycles = parseDouble(fields[1]);
-        const auto solo = parseDouble(fields[2]);
-        const auto instr = parseUint(fields[3]);
-        const auto hits = parseUint(fields[4]);
-        const auto misses = parseUint(fields[5]);
-        const auto inflicted = parseUint(fields[6]);
-        const auto suffered = parseUint(fields[7]);
-        const auto occupancy = parseUint(fields[8]);
+        const auto cycles = suite::parseDoubleCell(fields[1]);
+        const auto solo = suite::parseDoubleCell(fields[2]);
+        const auto instr = suite::parseUintCell(fields[3]);
+        const auto hits = suite::parseUintCell(fields[4]);
+        const auto misses = suite::parseUintCell(fields[5]);
+        const auto inflicted = suite::parseUintCell(fields[6]);
+        const auto suffered = suite::parseUintCell(fields[7]);
+        const auto occupancy = suite::parseUintCell(fields[8]);
         if (m.name.empty() || !cycles || !solo || !instr || !hits
             || !misses || !inflicted || !suffered || !occupancy) {
             reason = "unparsable member cell '" + cell + "'";
-            return {};
+            return std::nullopt;
         }
         m.cycles = *cycles;
         m.soloCycles = *solo;
@@ -147,208 +88,45 @@ parseCorunRow(const std::string &payload, std::string &reason)
         m.occupancyLines = *occupancy;
         result.members.push_back(std::move(m));
     }
-    if (result.name.empty()) {
-        reason = "record without a group name";
-        return {};
-    }
     return result;
 }
 
 CorunStore::CorunStore(std::string path, bool resume)
-    : path_(std::move(path)), resume_(resume)
+    : CampaignStore(std::move(path), resume)
 {
 }
 
 std::string
 CorunStore::journalFile(const CorunRunner &runner) const
 {
-    if (path_.empty())
-        return "";
-    std::string name = path_ + ".corun."
-        + workloads::inputSizeName(runner.options().size);
-    if (shard_.active())
-        name += ".shard" + std::to_string(shard_.index) + "of"
-            + std::to_string(shard_.count);
-    return name + ".csv";
+    return sectionFile(std::string("corun.")
+                       + workloads::inputSizeName(runner.options().size));
 }
-
-namespace {
-
-/** Atomic temp-then-rename commit of the full journal image. */
-void
-commitJournal(const std::string &file, const std::string &content,
-              bool quiet, bool &warned)
-{
-    const std::string temp = file + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc | std::ios::binary);
-        if (!out) {
-            if (!quiet || !warned)
-                warn("cannot write co-run journal at ", temp);
-            warned = true;
-            return;
-        }
-        out.write(content.data(),
-                  static_cast<std::streamsize>(content.size()));
-        out.flush();
-        if (!out) {
-            warn("short write to ", temp, "; journal not committed");
-            warned = true;
-            std::remove(temp.c_str());
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), file.c_str()) != 0) {
-        if (!quiet || !warned)
-            warn("cannot commit co-run journal to ", file, ": ",
-                 std::strerror(errno));
-        warned = true;
-        std::remove(temp.c_str());
-    }
-}
-
-} // namespace
 
 std::vector<CorunResult>
 CorunStore::runOrLoad(const CorunRunner &runner,
                       const std::vector<CorunGroup> &groups,
                       const CorunRunner::GroupObserver &observer)
 {
-    const std::vector<CorunGroup> slice =
-        suite::shardSlice(groups, shard_);
-    const std::string fingerprint = corunConfigFingerprint(runner);
-    const std::string digest = groupSetDigest(groups);
-    const std::string file = journalFile(runner);
-
-    std::vector<CorunResult> results;
-    if (!file.empty()) {
-        const suite::JournalScan scan = suite::scanJournal(file);
-        if (scan.fileOk && !scan.headerOk) {
-            warn("ignoring co-run journal at ", file, ": ",
-                 scan.headerError);
-        } else if (scan.headerOk
-                   && scan.header.configFingerprint != fingerprint) {
-            if (resume_) {
-                throw CorunJournalMismatchError(
-                    "refusing to resume from " + file
-                    + ": journal was written under config "
-                    + scan.header.configFingerprint
-                    + " but this invocation has config " + fingerprint
-                    + " (rerun without --resume to recompute and "
-                      "overwrite)");
-            }
-        } else if (scan.headerOk
-                   && (scan.header.pairsDigest != digest
-                       || scan.header.shardIndex != shard_.index
-                       || scan.header.shardCount != shard_.count
-                       || scan.columnHeader != columnHeader())) {
-            // Another campaign shape or build: a miss, not damage.
-        } else if (scan.headerOk) {
-            if (scan.corrupt) {
-                warn("quarantining co-run journal tail of ", file,
-                     " (", scan.corruptReason, ") after ",
-                     scan.records.size(), " valid record(s)");
-            }
-            // Hash-verified records still cross the semantic parser
-            // and the group-order check: only an order-matching
-            // prefix is a checkpoint of *this* campaign.
-            for (std::size_t i = 0;
-                 i < scan.records.size() && i < slice.size(); ++i) {
-                const std::string &record = scan.records[i];
-                const std::string payload =
-                    record.substr(0, record.rfind(','));
-                std::string reason;
-                CorunResult row = parseCorunRow(payload, reason);
-                if (row.name.empty()) {
-                    warn("quarantining co-run journal tail (", reason,
-                         ") after ", i, " valid row(s)");
-                    break;
-                }
-                if (row.name != slice[i].name()) {
-                    warn("co-run journal row ", i, " names '",
-                         row.name, "' where '", slice[i].name(),
-                         "' was expected; discarding the rest");
-                    break;
-                }
-                row.replayed = true;
-                results.push_back(std::move(row));
-            }
-            if (results.size() == slice.size())
-                return results;
-            if (!resume_)
-                results.clear();
-            else if (!results.empty())
-                inform("resuming co-run sweep from journal: ",
-                       results.size(),
-                       " group(s) replayed without re-simulation");
-        }
-    }
-
-    if (observer) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-            observer(results[i], i, slice.size());
-    }
-    journalWarned_ = false;
-
-    suite::JournalHeader header;
-    header.configFingerprint = fingerprint;
-    header.pairsDigest = digest;
-    header.shardIndex = shard_.index;
-    header.shardCount = shard_.count;
-    const auto save = [&](const std::vector<CorunResult> &rows,
-                          bool quiet) {
-        if (file.empty())
-            return;
-        if (quiet && journalWarned_)
-            return;
-        std::ostringstream image;
-        image << header.serialize() << "\n" << columnHeader() << "\n";
-        for (const CorunResult &row : rows) {
-            const std::string payload = serializeCorunRow(row);
-            image << payload << ","
-                  << suite::recordHash(fingerprint, payload) << "\n";
-        }
-        commitJournal(file, image.str(), quiet, journalWarned_);
-    };
-
-    const std::vector<CorunGroup> remaining(
-        slice.begin() + static_cast<std::ptrdiff_t>(results.size()),
-        slice.end());
-    // The remainder runs on the runner's ordered pool: completions
-    // arrive in canonical order even at jobs > 1, so every checkpoint
-    // below extends a valid journal prefix.
-    runner.runGroups(
-        remaining,
-        [&](const CorunResult &result, std::size_t index,
-            std::size_t total) {
-            results.push_back(result);
-            save(results, /*quiet=*/true);
-            if (observer)
-                observer(result, index, total);
-        },
-        results.size(), slice.size());
-    save(results, /*quiet=*/false);
-    return results;
+    const suite::CampaignIdentity id{journalFile(runner),
+                                     suite::configFingerprint(runner),
+                                     groupSetDigest(groups)};
+    return sweep(id, suite::shardSlice(groups, shard_), observer,
+                 [&runner](const std::vector<CorunGroup> &remaining,
+                           const CorunRunner::GroupObserver &done,
+                           std::size_t offset, std::size_t total) {
+                     runner.runGroups(remaining, done, offset, total);
+                 });
 }
 
 void
 CorunStore::invalidate() const
 {
-    if (path_.empty())
-        return;
-    for (workloads::InputSize size : workloads::kAllInputSizes) {
-        std::string stem =
-            path_ + ".corun." + workloads::inputSizeName(size);
-        std::vector<std::string> files = {stem + ".csv"};
-        if (shard_.active())
-            files.push_back(stem + ".shard"
-                            + std::to_string(shard_.index) + "of"
-                            + std::to_string(shard_.count) + ".csv");
-        for (const std::string &name : files) {
-            std::remove(name.c_str());
-            std::remove((name + ".tmp").c_str());
-        }
-    }
+    std::vector<std::string> sections;
+    for (workloads::InputSize size : workloads::kAllInputSizes)
+        sections.push_back(std::string("corun.")
+                           + workloads::inputSizeName(size));
+    removeSections(sections);
 }
 
 } // namespace corun

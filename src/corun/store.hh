@@ -1,66 +1,61 @@
 /**
  * @file
- * Journal-backed store for co-run campaigns, mirroring the suite's
- * ResultCache on the shared v2 journal format (suite/journal.hh):
- * a campaign header binding config fingerprint + group digest +
- * shard identity, a CSV column header ending in record_hash, and one
- * hash-bound record per completed group in canonical group order.
- *
- * The same properties follow: crash safety via temp-then-rename
- * commits after every completed group (readers only ever see a valid
- * prefix), resume replays the verified prefix and simulates only the
- * remainder, round-robin shards merge back byte-identically with the
- * existing `spec17 merge` toolchain, and parallel sweeps journal
- * through the ordered observer so every checkpoint -- and the final
- * file -- is byte-identical to a sequential run.
+ * Journal-backed store for co-run campaigns: the CorunResult campaign
+ * of suite::CampaignStore (suite/campaign_store.hh), which owns every
+ * journal rule -- a campaign header binding config fingerprint, group
+ * digest and shard identity, hash-bound records in canonical group
+ * order, resume prefix replay, quarantine and atomic per-group
+ * commits. This file adds the journal naming
+ * (`<base>.corun.<size>[.shardKofN].csv`) and the CorunResult record
+ * codec. Shards merge back byte-identically with `spec17 merge`.
  */
 
 #ifndef SPEC17_CORUN_STORE_HH_
 #define SPEC17_CORUN_STORE_HH_
 
-#include <stdexcept>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "corun/plan.hh"
 #include "corun/runner.hh"
-#include "suite/runner.hh"
+#include "suite/campaign_store.hh"
 
 namespace spec17 {
 namespace corun {
 
-/** Resume refused: the journal belongs to a different campaign. */
-class CorunJournalMismatchError : public std::runtime_error
+/** Journal codec of one CorunResult per planned group. `members`
+ *  packs one `:`-separated cell per context, `;`-joined. */
+struct CorunResultCodec
 {
-  public:
-    using std::runtime_error::runtime_error;
+    using Record = CorunResult;
+    using Item = CorunGroup;
+    static constexpr const char *kUnit = "group";
+
+    static std::string columnHeader()
+    {
+        return "name,masks,members,record_hash";
+    }
+    static std::string serialize(const CorunResult &result);
+    static std::optional<CorunResult> parse(const std::string &payload,
+                                            std::string &reason);
+    static std::string itemName(const CorunGroup &group)
+    {
+        return group.name();
+    }
+    static void bind(CorunResult &, const CorunGroup &) {}
 };
-
-/** 16-hex-digit FNV-1a fingerprint of @p runner's config key. */
-std::string corunConfigFingerprint(const CorunRunner &runner);
-
-/** Serializes one result into its journal payload (no hash cell). */
-std::string serializeCorunRow(const CorunResult &result);
-
-/** Parses a payload back; empty name + @p reason set on damage. */
-CorunResult parseCorunRow(const std::string &payload,
-                          std::string &reason);
 
 /**
  * Journal-backed co-run result store. One campaign = one planned
  * group enumeration (pre-shard) under one runner config.
  */
-class CorunStore
+class CorunStore : public suite::CampaignStore<CorunResultCodec>
 {
   public:
     /** @param path journal base path ("" disables persistence);
      *  @param resume replay a partial journal instead of discarding. */
     explicit CorunStore(std::string path, bool resume = false);
-
-    void setResume(bool resume) { resume_ = resume; }
-
-    /** Restricts the sweep to one shard of the group enumeration. */
-    void setShard(suite::ShardSpec shard) { shard_ = shard; }
 
     /** Journal file for the current shard:
      *  `<base>.corun.<size>[.shardKofN].csv` ("" when disabled). */
@@ -70,13 +65,10 @@ class CorunStore
      * Loads this shard's results for @p groups (the full canonical
      * enumeration, pre-shard) recorded under @p runner's fingerprint,
      * or runs the missing remainder and journals each completed
-     * group. Resume semantics match ResultCache: a verified prefix is
-     * replayed (flagged CorunResult::replayed) and a journal from a
-     * different config key throws CorunJournalMismatchError; without
-     * resume, any partial or foreign journal is a miss.
+     * group, under the same rules as suite::ResultCache::runOrLoad.
      *
      * @p observer sees every result of the shard -- replayed and
-     * simulated -- in canonical order.
+     * simulated -- in canonical order; never invoked on a full hit.
      */
     std::vector<CorunResult> runOrLoad(
         const CorunRunner &runner, const std::vector<CorunGroup> &groups,
@@ -84,12 +76,6 @@ class CorunStore
 
     /** Removes this path's co-run journals (current shard included). */
     void invalidate() const;
-
-  private:
-    std::string path_;
-    bool resume_ = false;
-    suite::ShardSpec shard_;
-    mutable bool journalWarned_ = false;
 };
 
 } // namespace corun

@@ -121,9 +121,7 @@ ExploreRunner::runPoints(const std::vector<ExplorePoint> &points,
         const std::vector<std::vector<suite::PairResult>> sweeps =
             suite::runFanoutSweep(
                 sessions,
-                options_.generation == workloads::SuiteGeneration::Cpu2017
-                    ? workloads::cpu2017Suite()
-                    : workloads::cpu2006Suite(),
+                workloads::suiteOf(options_.generation),
                 options_.size, fanout);
         for (std::size_t i = 0; i < points.size(); ++i)
             results.push_back(scorePoint(points[i], sweeps[i]));

@@ -399,7 +399,7 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
     const auto all_pairs = suite.empty()
         ? std::vector<AppInputPair>{}
         : enumeratePairs(suite, size);
-    const auto pairs = shardPairs(all_pairs, options.shard);
+    const auto pairs = shardSlice(all_pairs, options.shard);
     const std::size_t total = pairs.size();
 
     // Per-point sweep sessions: runner, journal, replayed prefix.
@@ -407,8 +407,9 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
     // complete journals contribute without observer calls, partial
     // prefixes replay through the observer, and fresh pairs are
     // checkpointed in canonical order as the shared pass advances.
+    // (An empty cache path is a pass-through cache.)
     std::vector<std::unique_ptr<SuiteRunner>> runners;
-    std::vector<std::unique_ptr<ResultCache>> caches;
+    std::vector<ResultCache> caches;
     std::vector<std::size_t> have(m, 0);
     std::vector<char> complete(m, 0);
     runners.reserve(m);
@@ -416,19 +417,13 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
     for (std::size_t p = 0; p < m; ++p) {
         runners.push_back(
             std::make_unique<SuiteRunner>(sessions[p].runner));
-        if (sessions[p].cachePath.empty()) {
-            caches.push_back(nullptr);
-            continue;
-        }
-        auto cache = std::make_unique<ResultCache>(
-            sessions[p].cachePath, options.resume);
-        cache->setShard(options.shard);
+        caches.emplace_back(sessions[p].cachePath, options.resume);
+        caches[p].setShard(options.shard);
         ResultCache::SweepPrefix prefix =
-            cache->beginSweep(*runners[p], suite, size, pairs);
+            caches[p].beginSweep(*runners[p], suite, size, pairs);
         out[p] = std::move(prefix.rows);
         have[p] = out[p].size();
         complete[p] = prefix.complete ? 1 : 0;
-        caches.push_back(std::move(cache));
         if (!complete[p] && sessions[p].observer) {
             for (std::size_t i = 0; i < have[p]; ++i)
                 sessions[p].observer(out[p][i], i, total);
@@ -467,17 +462,15 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
                 if (!row[p].fresh)
                     continue;
                 out[p].push_back(row[p].result);
-                if (caches[p] != nullptr)
-                    caches[p]->checkpoint(*runners[p], suite, size,
-                                          out[p]);
+                caches[p].checkpoint(*runners[p], suite, size, out[p]);
                 if (sessions[p].observer)
                     sessions[p].observer(row[p].result, i, total);
             }
         });
 
     for (std::size_t p = 0; p < m; ++p) {
-        if (!complete[p] && caches[p] != nullptr)
-            caches[p]->finish(*runners[p], suite, size, out[p]);
+        if (!complete[p])
+            caches[p].finish(*runners[p], suite, size, out[p]);
     }
     return out;
 }

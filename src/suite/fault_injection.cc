@@ -42,13 +42,6 @@ ScriptedJournalIoFaults::tornWriteAt(unsigned commit_index,
 }
 
 void
-ScriptedJournalIoFaults::enospcAt(unsigned commit_index)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    writePlan_[commit_index] = {WriteFault::Kind::Enospc, 0};
-}
-
-void
 ScriptedJournalIoFaults::enospcFrom(unsigned commit_index)
 {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -14,7 +14,7 @@
  *    attempt index), both of which are deterministic under a fixed
  *    root seed.
  *
- *  - JournalIoFaultInjector: the result cache consults it at every
+ *  - JournalIoFaultInjector: every campaign store consults it at every
  *    journal commit and reopen. Tests script torn writes (a crash
  *    or power cut leaves a byte-level prefix on disk), ENOSPC-style
  *    failed commits, short reads and bit-flips-on-reopen, proving
@@ -98,7 +98,7 @@ class ScriptedFaultInjector : public FaultInjector
 };
 
 /**
- * Journal-I/O injection interface. The result cache consults
+ * Journal-I/O injection interface. The campaign store consults
  * onJournalWrite() once per commit attempt (with the 0-based commit
  * index of the sweep) and onJournalRead() once per journal reopen,
  * applying the returned fault to that one operation.
@@ -153,16 +153,13 @@ class JournalIoFaultInjector
  * the sweep's commit index; read faults form a queue consumed one
  * per reopen (unscripted operations run clean). Thread-safe like
  * ScriptedFaultInjector, and usable as a probe: consultation counts
- * record how often the cache actually touched the journal.
+ * record how often the store actually touched the journal.
  */
 class ScriptedJournalIoFaults : public JournalIoFaultInjector
 {
   public:
     /** Tears commit @p commit_index down to @p keep_bytes bytes. */
     void tornWriteAt(unsigned commit_index, std::size_t keep_bytes);
-
-    /** Fails commit @p commit_index outright (ENOSPC semantics). */
-    void enospcAt(unsigned commit_index);
 
     /** Fails every commit from @p commit_index on. */
     void enospcFrom(unsigned commit_index);

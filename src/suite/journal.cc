@@ -3,10 +3,12 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
+
+#include "util/atomic_file.hh"
 
 namespace spec17 {
 namespace suite {
@@ -40,50 +42,57 @@ isHex16(const std::string &text)
 std::optional<unsigned>
 parseUnsigned(const std::string &cell)
 {
+    const auto value = parseUintCell(cell);
+    if (!value || *value > 0xffffffffu)
+        return std::nullopt;
+    return static_cast<unsigned>(*value);
+}
+
+} // namespace
+
+std::vector<std::string>
+splitCells(const std::string &text, char sep)
+{
+    std::vector<std::string> cells;
+    std::size_t start = 0;
+    for (std::size_t end = text.find(sep); end != std::string::npos;
+         start = end + 1, end = text.find(sep, start))
+        cells.push_back(text.substr(start, end - start));
+    cells.push_back(text.substr(start));
+    return cells;
+}
+
+std::optional<std::uint64_t>
+parseUintCell(std::string_view cell, unsigned base)
+{
     if (cell.empty())
         return std::nullopt;
-    unsigned value = 0;
+    std::uint64_t value = 0;
     for (char c : cell) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
+        const unsigned char u = static_cast<unsigned char>(c);
+        unsigned digit = base;
+        if (std::isdigit(u))
+            digit = static_cast<unsigned>(u - '0');
+        else if (std::isxdigit(u))
+            digit = static_cast<unsigned>(std::tolower(u) - 'a') + 10;
+        if (digit >= base
+            || value > (~std::uint64_t{0} - digit) / base)
             return std::nullopt;
-        const unsigned digit = static_cast<unsigned>(c - '0');
-        if (value > (0xffffffffu - digit) / 10)
-            return std::nullopt;
-        value = value * 10 + digit;
+        value = value * base + digit;
     }
     return value;
 }
 
-/** Atomically writes @p content to @p path (temp + rename). */
-bool
-commitFile(const std::string &path, const std::string &content,
-           std::string &error)
+std::optional<double>
+parseDoubleCell(const std::string &cell)
 {
-    const std::string temp = path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::trunc);
-        if (!out) {
-            error = "cannot write " + temp;
-            return false;
-        }
-        out << content;
-        out.flush();
-        if (!out) {
-            error = "short write to " + temp;
-            std::remove(temp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        error = "cannot rename " + temp + " to " + path + ": "
-            + std::strerror(errno);
-        std::remove(temp.c_str());
-        return false;
-    }
-    return true;
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(cell.c_str(), &end);
+    if (cell.empty() || end == nullptr || *end != '\0' || errno != 0)
+        return std::nullopt;
+    return value;
 }
-
-} // namespace
 
 std::uint64_t
 fnv1a(std::string_view data, std::uint64_t seed)
@@ -133,12 +142,8 @@ std::optional<JournalHeader>
 JournalHeader::parse(const std::string &line, std::string &reason)
 {
     static constexpr const char *kMagic = "spec17-journal-v";
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream stream(line);
-    while (std::getline(stream, cell, ','))
-        cells.push_back(cell);
-    if (cells.empty() || cells[0].rfind(kMagic, 0) != 0) {
+    const std::vector<std::string> cells = splitCells(line, ',');
+    if (cells[0].rfind(kMagic, 0) != 0) {
         reason = "not a spec17 journal header (legacy v1 journals "
                  "carry no campaign header and cannot be verified)";
         return std::nullopt;
@@ -282,12 +287,9 @@ scanJournalContent(const std::string &content, bool file_ok)
 JournalScan
 scanJournal(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return scanJournalContent("", /*file_ok=*/false);
-    std::ostringstream content;
-    content << in.rdbuf();
-    return scanJournalContent(content.str(), /*file_ok=*/true);
+    std::string content;
+    const bool file_ok = readFile(path, content);
+    return scanJournalContent(content, file_ok);
 }
 
 bool
@@ -305,7 +307,7 @@ repairJournal(const std::string &path, std::string &error)
         << "\n";
     for (const std::string &record : scan.records)
         out << record << "\n";
-    return commitFile(path, out.str(), error);
+    return writeFileAtomic(path, out.str(), &error);
 }
 
 MergeOutcome
@@ -460,7 +462,7 @@ mergeJournals(const std::vector<std::string> &shard_paths,
     out << merged.serialize() << "\n" << first.columnHeader << "\n";
     for (const std::string *record : ordered)
         out << *record << "\n";
-    if (!commitFile(out_path, out.str(), outcome.error))
+    if (!writeFileAtomic(out_path, out.str(), &outcome.error))
         return outcome;
     outcome.recordsWritten = ordered.size();
     outcome.ok = true;

@@ -45,6 +45,19 @@ namespace suite {
 /** Journal format version this build reads and writes. */
 inline constexpr unsigned kJournalFormatVersion = 2;
 
+/** The @p sep-separated cells of @p text (an empty text is one empty
+ *  cell; a trailing separator leaves a trailing empty cell). */
+std::vector<std::string> splitCells(const std::string &text, char sep);
+
+/** Parses a whole cell of digits in @p base (2..16): no sign, space
+ *  or prefix. nullopt on anything else, including overflow. */
+std::optional<std::uint64_t> parseUintCell(std::string_view cell,
+                                           unsigned base = 10);
+
+/** Parses a whole cell as a double; nullopt on an empty cell,
+ *  trailing bytes or a range error. */
+std::optional<double> parseDoubleCell(const std::string &cell);
+
 /** FNV-1a over @p data, continuing from @p seed. */
 std::uint64_t fnv1a(std::string_view data,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);

@@ -1,69 +1,25 @@
 /**
  * @file
  * On-disk cache of suite-run results, doubling as a crash-safe,
- * self-validating sweep journal.
- *
- * A full characterization sweep simulates hundreds of millions of
- * micro-ops; every bench binary needs the same sweep. The cache
- * persists PairResults to a journal file (format v2, see
- * docs/journal_format.md and suite/journal.hh) keyed by a campaign
- * header -- config-key fingerprint, pair-set digest, shard identity,
- * format version -- with a content hash on every record, so any
- * record's provenance and integrity is checkable offline.
- *
- * Crash safety: during a sweep the file is re-committed after every
- * completed pair via write-temp-then-rename, so readers only ever see
- * a complete prefix of rows (an append-only journal with atomic
- * commits). An interrupted sweep leaves a valid partial journal;
- * with resume enabled, the next run replays the completed prefix and
- * simulates only the remainder. Malformed or hash-failing rows (torn
- * tails, bit flips, stale formats) are quarantined as cache misses
- * with a logged reason -- never a crash, never garbage results. A
- * failed journal commit (e.g. ENOSPC, or an injected I/O fault)
- * demotes to warn-and-continue: the sweep still returns correct
- * results, and uncommitted pairs are recomputed on resume.
- *
- * Sharded campaigns: with a ShardSpec set, the cache runs only the
- * shard's slice of the pair cross-product and journals it to a
- * per-shard file (`<base>.<gen>.<size>.shardKofN.csv`). Shard
- * journals of one campaign merge into the canonical unsharded
+ * self-validating sweep journal: the PairResult campaign of
+ * CampaignStore (suite/campaign_store.hh), which owns every journal
+ * rule. This file adds the journal naming and the PairResult record
+ * codec. Shard journals of one campaign merge into the unsharded
  * journal byte-identically via `spec17 merge` (suite/journal.hh).
- *
- * Parallel sweeps (RunnerOptions::jobs > 1) journal through the
- * runner's ordered observer seam: completions are delivered in
- * canonical pair order regardless of which worker finished first, so
- * every checkpoint is still a valid prefix and a journal truncated
- * mid-parallel-sweep resumes byte-identically.
  */
 
 #ifndef SPEC17_SUITE_RESULT_CACHE_HH_
 #define SPEC17_SUITE_RESULT_CACHE_HH_
 
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "suite/fault_injection.hh"
+#include "suite/campaign_store.hh"
 #include "suite/runner.hh"
 
 namespace spec17 {
 namespace suite {
-
-/**
- * Thrown when --resume finds a journal written under a different
- * config key: replaying it would splice results from one campaign
- * into another, so the sweep refuses loudly instead of guessing.
- * (Without resume, a mismatched journal is an ordinary cache miss.)
- */
-class JournalConfigMismatchError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/** 16-hex-digit FNV-1a fingerprint of @p runner's config key. */
-std::string configFingerprint(const SuiteRunner &runner);
 
 /**
  * 16-hex-digit digest of the full canonical pair enumeration of
@@ -75,61 +31,57 @@ std::string pairSetDigest(
     const std::vector<workloads::WorkloadProfile> &suite,
     workloads::InputSize size);
 
-/**
- * Journal-backed result store. Results are keyed by (suite
- * generation, input size, shard) and validated against the campaign
- * header and per-record hashes.
- */
-class ResultCache
+/** Journal codec of one PairResult per application-input pair. */
+struct PairResultCodec
+{
+    using Record = PairResult;
+    using Item = workloads::AppInputPair;
+    static constexpr const char *kUnit = "pair";
+
+    static std::string columnHeader();
+    /** Full double precision, so the payload -- and therefore the
+     *  journal bytes -- is identical whichever process writes it. */
+    static std::string serialize(const PairResult &result);
+    /** Profile left unbound until bind(). */
+    static std::optional<PairResult> parse(const std::string &payload,
+                                           std::string &reason);
+    static std::string itemName(const Item &pair)
+    {
+        return pair.displayName();
+    }
+    static void bind(PairResult &result, const Item &pair)
+    {
+        result.profile = pair.profile;
+        result.size = pair.size;
+    }
+};
+
+/** Journal-backed result store, keyed by (suite generation, input
+ *  size, shard); see CampaignStore for the journal rules. */
+class ResultCache : public CampaignStore<PairResultCodec>
 {
   public:
-    /**
-     * @param path journal base path; created on first save. Empty
-     *        path disables persistence (pure pass-through).
-     * @param resume when true, a partial journal left by an
-     *        interrupted sweep is replayed instead of discarded.
-     */
+    /** @param path journal base path ("" disables persistence);
+     *  @param resume replay a partial journal instead of discarding. */
     explicit ResultCache(std::string path, bool resume = false);
 
-    /** Default cache location: $SPEC17_CACHE or spec17_results.csv. */
+    /** Default cache location: $SPEC17_CACHE or spec17_results. */
     static std::string defaultPath();
 
-    /** Enables/disables resuming from a partial journal. */
-    void setResume(bool resume) { resume_ = resume; }
-
-    /** Restricts sweeps to one shard of the pair cross-product. */
-    void setShard(ShardSpec shard) { shard_ = shard; }
-
-    /** Test-only journal-I/O injection hook; borrowed pointer,
-     *  nullptr in production. */
-    void setIoFaults(JournalIoFaultInjector *faults)
-    {
-        ioFaults_ = faults;
-    }
-
-    /** Journal file this cache reads/writes for (@p suite, @p size)
-     *  under the current shard (empty when persistence is off). */
+    /** `<base>.<gen>.<size>[.shardKofN].csv` for (@p suite, @p size)
+     *  ("" when persistence is off). */
     std::string journalFile(
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size) const;
 
     /**
-     * Loads cached results for (@p suite, @p size) recorded under
-     * @p runner's fingerprint, or runs the sweep and persists it,
-     * journaling each completed pair. With resume enabled, a partial
-     * journal seeds the sweep and only missing pairs are simulated;
-     * a journal from a different config key is refused
-     * (JournalConfigMismatchError). With a shard set, only the
-     * shard's slice is loaded/run/journaled.
-     * Profile pointers in returned results are rebound into @p suite.
-     *
-     * @param observer notified after each pair of a simulated sweep,
-     *        always in canonical pair order (even when the runner
-     *        executes pairs on a worker pool) and including
-     *        journal-replayed prefix pairs -- flagged via
-     *        PairResult::replayed -- so progress counts stay
-     *        consistent; never invoked on a full cache hit. Pass an
-     *        empty function to disable.
+     * Loads this shard's results for (@p suite, @p size) recorded
+     * under @p runner's fingerprint, or simulates the missing
+     * remainder, journaling each completed pair. Profile pointers in
+     * returned results are bound into @p suite. @p observer sees
+     * every pair of a simulated sweep -- journal-replayed ones
+     * flagged PairResult::replayed -- in canonical order at any job
+     * count; never invoked on a full cache hit.
      */
     std::vector<PairResult> runOrLoad(
         const SuiteRunner &runner,
@@ -140,55 +92,24 @@ class ResultCache
     /**
      * @name Sweep-session seam
      * runOrLoad() decomposed for engines that interleave many sweeps
-     * (suite/fanout.hh runs one session per design point, committing
-     * every point's journal as the shared pass advances). A session is
-     * beginSweep() once, checkpoint() after each newly completed pair,
-     * finish() at the end -- producing journal bytes identical to a
-     * runOrLoad() sweep at any job count.
+     * (suite/fanout.hh): beginSweep() once over the shard's pairs in
+     * canonical order, checkpoint() after each newly completed pair,
+     * finish() at the end -- the same journal bytes as runOrLoad().
      */
     /// @{
-
-    /** The journal-replayed state a sweep session starts from. */
-    struct SweepPrefix
-    {
-        /** Order-verified replayed prefix, profiles bound into the
-         *  session's suite, PairResult::replayed set. */
-        std::vector<PairResult> rows;
-        /** Every expected pair was already journaled: the session has
-         *  nothing to run (rows are the full result set). */
-        bool complete = false;
-    };
-
-    /**
-     * Opens a sweep session: reads the journal under runOrLoad()'s
-     * exact policy -- a complete order-verified journal returns all
-     * rows with complete=true even without resume; a partial prefix is
-     * returned only with resume enabled; a config-mismatched journal
-     * under resume throws JournalConfigMismatchError; anything else is
-     * an empty prefix -- and resets the per-sweep commit state.
-     * @p pairs must be the shard slice the session will run, in
-     * canonical order (shardPairs of the full enumeration).
-     */
     SweepPrefix beginSweep(
         const SuiteRunner &runner,
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size,
         const std::vector<workloads::AppInputPair> &pairs);
-
-    /** Quiet mid-sweep checkpoint: atomically commits @p results as
-     *  the journal's new prefix (unwritable locations warn once per
-     *  session, not once per pair). */
     void checkpoint(const SuiteRunner &runner,
                     const std::vector<workloads::WorkloadProfile> &suite,
                     workloads::InputSize size,
                     const std::vector<PairResult> &results) const;
-
-    /** Final loud commit of a sweep session. */
     void finish(const SuiteRunner &runner,
                 const std::vector<workloads::WorkloadProfile> &suite,
                 workloads::InputSize size,
                 const std::vector<PairResult> &results) const;
-
     /// @}
 
     /** Drops everything persisted at this path (current shard's
@@ -196,52 +117,10 @@ class ResultCache
     void invalidate();
 
   private:
-    /** One journal read: campaign-header classification plus the
-     *  longest order-verified record prefix. */
-    struct JournalRead
-    {
-        enum class Status
-        {
-            Missing,        //!< no file / unreadable
-            Malformed,      //!< campaign header damaged or legacy
-            ConfigMismatch, //!< other campaign's config key
-            PairsMismatch,  //!< other suite/size enumeration
-            ShardMismatch,  //!< other shard's journal
-            FormatMismatch, //!< other build's counter columns
-            Ok,
-        };
-        Status status = Status::Missing;
-        /** Campaign fingerprint found in the file (diagnostics). */
-        std::string foundFingerprint;
-        /** Order-verified prefix, profiles bound, replayed=true. */
-        std::vector<PairResult> rows;
-        /** Every expected pair present and nothing quarantined. */
-        bool complete = false;
-    };
-
-    JournalRead readJournal(
+    CampaignIdentity identity(
         const SuiteRunner &runner,
         const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size,
-        const std::vector<workloads::AppInputPair> &pairs) const;
-
-    /** Atomically commits @p results (write temp, then rename),
-     *  consulting the I/O fault hook. */
-    void save(const SuiteRunner &runner,
-              const std::vector<workloads::WorkloadProfile> &suite,
-              workloads::InputSize size,
-              const std::vector<PairResult> &results,
-              bool quiet = false) const;
-
-    std::string path_;
-    bool resume_ = false;
-    ShardSpec shard_;
-    JournalIoFaultInjector *ioFaults_ = nullptr;
-    /** Commit counter within the current sweep (I/O fault keying). */
-    mutable unsigned commitIndex_ = 0;
-    /** Set after one failed journal commit so a read-only location
-     *  warns once per sweep instead of once per pair. */
-    mutable bool journalWarned_ = false;
+        workloads::InputSize size) const;
 };
 
 } // namespace suite

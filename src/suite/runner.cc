@@ -89,13 +89,6 @@ ShardSpec::parse(const std::string &text)
     return ShardSpec{*index, *count};
 }
 
-std::vector<AppInputPair>
-shardPairs(const std::vector<AppInputPair> &pairs,
-           const ShardSpec &shard)
-{
-    return shardSlice(pairs, shard);
-}
-
 unsigned
 resolveWorkerCount(unsigned jobs, std::size_t count)
 {
@@ -140,7 +133,7 @@ PairResult::finalFailure() const
 SuiteRunner::SuiteRunner(RunnerOptions options)
     : options_(std::move(options))
 {
-    SPEC17_ASSERT(options_.sampleOps >= 1000,
+    SPEC17_ASSERT(options_.sampleOps >= kMinSampleOps,
                   "sample too small to be meaningful");
 }
 

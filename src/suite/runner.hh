@@ -99,11 +99,6 @@ shardSlice(const std::vector<T> &items, const ShardSpec &shard)
     return slice;
 }
 
-/** The slice of @p pairs belonging to @p shard, in canonical order. */
-std::vector<workloads::AppInputPair> shardPairs(
-    const std::vector<workloads::AppInputPair> &pairs,
-    const ShardSpec &shard);
-
 /** Worker threads a pool of @p count items actually uses: resolves
  *  jobs == 0 to the hardware concurrency and never exceeds the item
  *  count (minimum 1). */
@@ -171,6 +166,10 @@ runOrderedPool(std::size_t count, unsigned jobs, Work &&work,
         thread.join();
     return results;
 }
+
+/** Smallest measured sample, in micro-ops, a runner accepts: shorter
+ *  windows are too short to be meaningful. */
+inline constexpr std::uint64_t kMinSampleOps = 1000;
 
 /** Runner configuration. */
 struct RunnerOptions

@@ -1,11 +1,10 @@
 /**
  * @file
- * Atomic whole-file writes: the temp+rename commit discipline the
- * result-cache journal and telemetry file sinks use, factored out for
- * any producer of a single-file artifact (bench JSON baselines, trace
- * exports). A crash or interruption mid-write can never leave a torn
- * file at the target path -- either the old contents survive or the
- * new contents are fully committed.
+ * Whole-file I/O: the temp+rename commit discipline every journal,
+ * spill file and bench baseline goes through, and its matching
+ * whole-file read. A crash or interruption mid-write can never leave
+ * a torn file at the target path -- either the old contents survive
+ * or the new contents are fully committed.
  */
 
 #ifndef SPEC17_UTIL_ATOMIC_FILE_HH_
@@ -19,13 +18,19 @@ namespace spec17 {
  * Writes @p contents to @p path atomically: the bytes go to
  * `path + ".tmp"`, are flushed and checked, and the temp file is then
  * renamed over @p path (an atomic replacement on POSIX filesystems).
- * On any failure the temp file is removed, the target is left
- * untouched, and a warning is emitted.
+ * On any failure the temp file is removed and the target is left
+ * untouched; the diagnosis goes to @p error when given, otherwise it
+ * is emitted as a warning.
  *
  * @return true when the file was fully committed.
  */
 bool writeFileAtomic(const std::string &path,
-                     const std::string &contents);
+                     const std::string &contents,
+                     std::string *error = nullptr);
+
+/** Reads the whole file at @p path into @p contents; false when it
+ *  cannot be opened. */
+bool readFile(const std::string &path, std::string &contents);
 
 } // namespace spec17
 

@@ -202,6 +202,13 @@ enumeratePairs(const std::vector<WorkloadProfile> &suite, InputSize size,
     return pairs;
 }
 
+const std::vector<WorkloadProfile> &
+suiteOf(SuiteGeneration generation)
+{
+    return generation == SuiteGeneration::Cpu2017 ? cpu2017Suite()
+                                                  : cpu2006Suite();
+}
+
 const WorkloadProfile &
 findProfile(const std::vector<WorkloadProfile> &suite,
             const std::string &name)

@@ -225,6 +225,9 @@ const std::vector<WorkloadProfile> &cpu2017Suite();
 /** The CPU2006 comparison suite (29 applications). */
 const std::vector<WorkloadProfile> &cpu2006Suite();
 
+/** cpu2017Suite() or cpu2006Suite(). */
+const std::vector<WorkloadProfile> &suiteOf(SuiteGeneration generation);
+
 /**
  * Enumerates application-input pairs of @p suite for @p size,
  * optionally filtered to one mini-suite. With the CPU2017 suite this

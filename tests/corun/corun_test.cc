@@ -10,6 +10,7 @@
 #include "corun/plan.hh"
 #include "corun/runner.hh"
 #include "corun/store.hh"
+#include "suite/journal.hh"
 
 #include <gtest/gtest.h>
 
@@ -255,9 +256,10 @@ TEST(CorunStore, RowSerializationRoundTrips)
     }
 
     std::string reason;
-    const CorunResult parsed =
-        parseCorunRow(serializeCorunRow(result), reason);
-    EXPECT_EQ(reason, "");
+    const auto row = CorunResultCodec::parse(
+        CorunResultCodec::serialize(result), reason);
+    ASSERT_TRUE(row.has_value()) << reason;
+    const CorunResult &parsed = *row;
     EXPECT_EQ(parsed.name, result.name);
     EXPECT_EQ(parsed.masks, result.masks);
     ASSERT_EQ(parsed.members.size(), 2u);
@@ -274,8 +276,7 @@ TEST(CorunStore, RowSerializationRoundTrips)
                   result.members[m].occupancyLines);
     }
 
-    const CorunResult damaged = parseCorunRow("a+b,-", reason);
-    EXPECT_TRUE(damaged.name.empty());
+    EXPECT_FALSE(CorunResultCodec::parse("a+b,-", reason).has_value());
     EXPECT_NE(reason, "");
 }
 
@@ -340,7 +341,37 @@ TEST(CorunStore, ResumeRefusesForeignConfig)
     CorunOptions other = fastOptions();
     other.chunkOps = 4000;
     EXPECT_THROW(store.runOrLoad(CorunRunner(other), groups),
-                 CorunJournalMismatchError);
+                 suite::JournalConfigMismatchError);
+    store.invalidate();
+}
+
+TEST(CorunStore, CompleteJournalWithJunkTailIsRewrittenClean)
+{
+    const std::string base = tempBase("junk_tail");
+    const auto groups =
+        planGroups(workloads::cpu2017Suite(), fastPlan());
+    CorunRunner runner(fastOptions());
+    CorunStore store(base);
+    store.invalidate();
+    const auto golden = store.runOrLoad(runner, groups);
+    const std::string file = store.journalFile(runner);
+    const std::string golden_bytes = fileBytes(file);
+    ASSERT_FALSE(golden_bytes.empty());
+
+    // A complete journal with a junk record appended is not a cache
+    // hit: with or without resume, the rerun returns the same results
+    // and leaves the clean journal behind.
+    for (const bool resume : {false, true}) {
+        {
+            std::ofstream out(file, std::ios::app | std::ios::binary);
+            out << "junk,record,0123456789abcdef\n";
+        }
+        ASSERT_TRUE(suite::scanJournal(file).corrupt);
+        CorunStore rerun(base, resume);
+        expectResultsIdentical(golden, rerun.runOrLoad(runner, groups));
+        EXPECT_EQ(fileBytes(file), golden_bytes) << "resume=" << resume;
+        EXPECT_TRUE(suite::scanJournal(file).clean());
+    }
     store.invalidate();
 }
 

@@ -42,9 +42,15 @@ TEST(CliParse, FlagDefaultsAndNumbers)
 
 TEST(CliParseDeathTest, MalformedNumberIsFatal)
 {
-    const CommandLine c = parse({"stat", "--sample=abc"});
-    EXPECT_EXIT(c.flagUint("sample", 1),
-                ::testing::ExitedWithCode(1), "wants a number");
+    // Only a whole cell of decimal digits is a number: no trailing
+    // junk, no exponent, no sign.
+    for (const char *flag : {"--sample=abc", "--sample=5000x",
+                             "--sample=1e6", "--sample=-1"}) {
+        const CommandLine c = parse({"stat", flag});
+        EXPECT_EXIT(c.flagUint("sample", 1),
+                    ::testing::ExitedWithCode(1), "wants a number")
+            << flag;
+    }
 }
 
 TEST(CliParse, EmptyArgvGivesEmptyCommand)
@@ -233,6 +239,23 @@ TEST(CliRun, UnknownFlagIsRejected)
                          err2),
               0);
     EXPECT_NE(out2.str().find("usage:"), std::string::npos);
+}
+
+TEST(CliRun, SampleBelowTheRunnerFloorIsRejected)
+{
+    // A contained usage error (exit 2), not an assertion abort inside
+    // the runner.
+    for (const char *command : {"stat", "characterize", "corun"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parse({command, "505.mcf_r", "--no-cache",
+                                    "--sample=999"}),
+                             out, err),
+                  2)
+            << command;
+        EXPECT_NE(err.str().find("--sample must be at least 1000"),
+                  std::string::npos)
+            << command;
+    }
 }
 
 TEST(CliRun, BatchOpsZeroIsRejected)
@@ -548,6 +571,35 @@ TEST(CliRun, ResumeRefusesJournalFromAnotherConfig)
               std::string::npos);
     ::unsetenv("SPEC17_CACHE");
     std::remove((base + ".cpu2006.test.csv").c_str());
+}
+
+TEST(CliRun, CorunHonoursTheUarchFlags)
+{
+    // The co-run machine comes from the same uarch flags as every
+    // other verb, so a mechanism flag changes its config fingerprint.
+    const std::string base =
+        std::string(::testing::TempDir()) + "/cli_corun_uarch";
+    const std::string journal = base + ".corun.test.csv";
+    ::setenv("SPEC17_CACHE", base.c_str(), 1);
+    std::vector<std::string> fingerprints;
+    // --way-penalty=2 is the default: the first run is the baseline.
+    for (const char *flag : {"--way-penalty=2", "--way-predictor=mru"}) {
+        std::remove(journal.c_str());
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parse({"corun", "--size=test",
+                                    "--apps=541.leela_r",
+                                    "--sample=2000", "--warmup=500",
+                                    flag}),
+                             out, err),
+                  0)
+            << err.str();
+        const auto scan = suite::scanJournal(journal);
+        EXPECT_TRUE(scan.clean()) << flag;
+        fingerprints.push_back(scan.header.configFingerprint);
+    }
+    EXPECT_NE(fingerprints[0], fingerprints[1]);
+    ::unsetenv("SPEC17_CACHE");
+    std::remove(journal.c_str());
 }
 
 TEST(CliRun, UsageDocumentsShardingAndJournalTools)

@@ -1,10 +1,10 @@
 #include "tools/cli.hh"
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
-
-#include <fstream>
 
 #include "core/characterizer.hh"
 #include "util/logging.hh"
@@ -38,38 +38,74 @@ namespace {
 using workloads::InputSize;
 using workloads::SuiteGeneration;
 
+/** A contained usage error: runCommand() reports it and exits 2. */
+class UsageError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Throws a UsageError with the concatenated @p args. */
+template <typename... Args>
+[[noreturn]] void
+usageError(Args &&...args)
+{
+    throw UsageError(detail::concatArgs(std::forward<Args>(args)...));
+}
+
 /** Maps --suite= to a generation; defaults to CPU2017. */
 SuiteGeneration
-generationOf(const CommandLine &command, std::ostream &err, bool &ok)
+generationOf(const CommandLine &command)
 {
     const std::string suite = command.flag("suite", "cpu2017");
-    ok = true;
-    if (suite == "cpu2017")
-        return SuiteGeneration::Cpu2017;
-    if (suite == "cpu2006")
-        return SuiteGeneration::Cpu2006;
-    err << "error: unknown --suite '" << suite
-        << "' (want cpu2017|cpu2006)\n";
-    ok = false;
-    return SuiteGeneration::Cpu2017;
+    if (suite != "cpu2017" && suite != "cpu2006")
+        usageError("unknown --suite '", suite, "' (want cpu2017|cpu2006)");
+    return suite == "cpu2017" ? SuiteGeneration::Cpu2017
+                              : SuiteGeneration::Cpu2006;
 }
 
 /** Maps --size= to an input size; defaults to ref. */
 InputSize
-sizeOf(const CommandLine &command, std::ostream &err, bool &ok)
+sizeOf(const CommandLine &command)
 {
     const std::string size = command.flag("size", "ref");
-    ok = true;
-    if (size == "test")
-        return InputSize::Test;
-    if (size == "train")
-        return InputSize::Train;
-    if (size == "ref")
-        return InputSize::Ref;
-    err << "error: unknown --size '" << size
-        << "' (want test|train|ref)\n";
-    ok = false;
-    return InputSize::Ref;
+    for (InputSize candidate : workloads::kAllInputSizes) {
+        if (size == workloads::inputSizeName(candidate))
+            return candidate;
+    }
+    usageError("unknown --size '", size, "' (want test|train|ref)");
+}
+
+/** The application named @p name in @p suite. */
+const workloads::WorkloadProfile &
+profileOf(const std::vector<workloads::WorkloadProfile> &suite,
+          const std::string &name)
+{
+    for (const auto &candidate : suite) {
+        if (candidate.name == name)
+            return candidate;
+    }
+    usageError("no application named '", name, "' (try: spec17 list)");
+}
+
+/** The non-empty cells of a comma-separated flag value. */
+std::vector<std::string>
+listOf(const std::string &text)
+{
+    std::vector<std::string> cells = suite::splitCells(text, ',');
+    cells.erase(std::remove(cells.begin(), cells.end(), ""), cells.end());
+    return cells;
+}
+
+/** One `count<TAB>event` line per simulated perf event. */
+void
+renderCounters(const counters::CounterSet &counters, std::ostream &out)
+{
+    for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
+        const auto event = static_cast<counters::PerfEvent>(e);
+        out << "  " << fmtCount(counters.get(event)) << "\t"
+            << counters::perfEventName(event) << "\n";
+    }
 }
 
 suite::RunnerOptions
@@ -145,29 +181,74 @@ arenaStoreOf(const CommandLine &command)
  * runner's lifetime.
  */
 std::unique_ptr<telemetry::FileSink>
-telemetrySinkOf(const CommandLine &command, std::ostream &err, bool &ok)
+telemetrySinkOf(const CommandLine &command)
 {
-    ok = true;
     if (!command.hasFlag("telemetry-out"))
         return nullptr;
     const std::string format = command.flag("telemetry-format", "csv");
-    telemetry::FileSink::Format sink_format;
-    if (format == "csv") {
-        sink_format = telemetry::FileSink::Format::Csv;
-    } else if (format == "jsonl") {
-        sink_format = telemetry::FileSink::Format::Jsonl;
-    } else {
-        err << "error: unknown --telemetry-format '" << format
-            << "' (want csv|jsonl)\n";
-        ok = false;
-        return nullptr;
-    }
+    if (format != "csv" && format != "jsonl")
+        usageError("unknown --telemetry-format '", format,
+                   "' (want csv|jsonl)");
     if (command.flagUint("sample-interval-ops", 0) == 0) {
         warn("--telemetry-out without --sample-interval-ops "
              "produces no series");
     }
     return std::make_unique<telemetry::FileSink>(
-        command.flag("telemetry-out"), sink_format);
+        command.flag("telemetry-out"),
+        format == "csv" ? telemetry::FileSink::Format::Csv
+                        : telemetry::FileSink::Format::Jsonl);
+}
+
+/**
+ * The campaign flags characterize, corun and explore share, parsed
+ * once: the journal location, --resume, --shard and --progress.
+ */
+struct CampaignOptions
+{
+    /** Journal base path; empty with --no-cache. */
+    std::string cachePath;
+    bool resume = false;
+    suite::ShardSpec shard;
+    /** sweep_progress reporter (shard-labelled); null without
+     *  --progress. */
+    std::unique_ptr<telemetry::ProgressReporter> progress;
+};
+
+CampaignOptions
+campaignOptionsOf(const CommandLine &command)
+{
+    CampaignOptions campaign;
+    if (!command.hasFlag("no-cache"))
+        campaign.cachePath = suite::ResultCache::defaultPath();
+    campaign.resume = command.hasFlag("resume");
+    if (command.hasFlag("shard")) {
+        const auto shard = suite::ShardSpec::parse(command.flag("shard"));
+        if (!shard)
+            usageError("--shard wants K/N with 1 <= K <= N, got '",
+                       command.flag("shard"), "'");
+        campaign.shard = *shard;
+    }
+    if (command.hasFlag("progress")) {
+        telemetry::ProgressReporter::Options options;
+        if (campaign.shard.active())
+            options.shardLabel = campaign.shard.label();
+        campaign.progress =
+            std::make_unique<telemetry::ProgressReporter>(options);
+    }
+    return campaign;
+}
+
+/** Reports each completed pair of a sweep to @p progress. */
+suite::SuiteRunner::PairObserver
+pairProgress(telemetry::ProgressReporter &progress)
+{
+    return [&progress](const suite::PairResult &result,
+                       std::size_t index, std::size_t total) {
+        progress.onItemDone(
+            result.name, index, total,
+            result.counters.get(counters::PerfEvent::InstRetiredAny),
+            result.attempts, result.errored, result.replayed);
+    };
 }
 
 /**
@@ -205,26 +286,18 @@ renderFailureSummary(const std::vector<const suite::PairResult *>
 }
 
 int
-cmdConfig(const CommandLine &command, std::ostream &out)
+cmdConfig(const CommandLine &command, std::ostream &out, std::ostream &)
 {
     out << runnerOptionsOf(command).system.describe();
     return 0;
 }
 
 int
-cmdList(const CommandLine &command, std::ostream &out,
-        std::ostream &err)
+cmdList(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
+    const SuiteGeneration generation = generationOf(command);
+    const InputSize size = sizeOf(command);
+    const auto &suite = workloads::suiteOf(generation);
 
     TextTable table({"pair", "mini-suite", "language", "threads",
                      "instr (B)", "RSS", "status"});
@@ -247,50 +320,26 @@ cmdList(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdStat(const CommandLine &command, std::ostream &out,
-        std::ostream &err)
+cmdStat(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: stat needs an application name (try: spec17 "
-               "stat 505.mcf_r)\n";
-        return 2;
-    }
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
+    if (command.positional.size() < 2)
+        usageError("stat needs an application name (try: spec17 stat "
+                   "505.mcf_r)");
+    const SuiteGeneration generation = generationOf(command);
+    const InputSize size = sizeOf(command);
+    const auto &suite = workloads::suiteOf(generation);
     const std::string &name = command.positional[1];
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name
-            << "' (try: spec17 list)\n";
-        return 2;
-    }
+    const workloads::WorkloadProfile *profile = &profileOf(suite, name);
     const unsigned input =
         static_cast<unsigned>(command.flagUint("input", 1)) - 1;
     const unsigned available =
         profile->numInputs[static_cast<std::size_t>(size)];
-    if (input >= available) {
-        err << "error: " << name << " has " << available << " "
-            << workloads::inputSizeName(size) << " inputs\n";
-        return 2;
-    }
+    if (input >= available)
+        usageError(name, " has ", available, " ",
+                   workloads::inputSizeName(size), " inputs");
 
     suite::RunnerOptions runner_options = runnerOptionsOf(command);
-    bool sink_ok = false;
-    const auto sink = telemetrySinkOf(command, err, sink_ok);
-    if (!sink_ok)
-        return 2;
+    const auto sink = telemetrySinkOf(command);
     runner_options.telemetrySink = sink.get();
     const auto arena_store = arenaStoreOf(command);
     runner_options.arenaStore = arena_store.get();
@@ -299,11 +348,7 @@ cmdStat(const CommandLine &command, std::ostream &out,
 
     out << "perf-style counters for " << result.name << " ("
         << workloads::inputSizeName(size) << "):\n";
-    for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
-        const auto event = static_cast<counters::PerfEvent>(e);
-        out << "  " << fmtCount(result.counters.get(event)) << "\t"
-            << counters::perfEventName(event) << "\n";
-    }
+    renderCounters(result.counters, out);
     const auto metrics = core::deriveMetrics(result);
     out << "\n  IPC " << fmtDouble(metrics.ipc, 3) << ", mispredict "
         << fmtDouble(metrics.mispredictPct, 2) << "%, L1/L2/L3 miss "
@@ -342,7 +387,7 @@ cmdStat(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdEvents(const CommandLine &, std::ostream &out)
+cmdEvents(const CommandLine &, std::ostream &out, std::ostream &)
 {
     // The paper generates its candidate counter list with
     // `perf list`; this is the simulated equivalent.
@@ -355,16 +400,10 @@ cmdEvents(const CommandLine &, std::ostream &out)
 }
 
 int
-cmdValidate(const CommandLine &command, std::ostream &out,
-            std::ostream &err)
+cmdValidate(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const auto &suite = generation == SuiteGeneration::Cpu2017
-        ? workloads::cpu2017Suite()
-        : workloads::cpu2006Suite();
+    const SuiteGeneration generation = generationOf(command);
+    const auto &suite = workloads::suiteOf(generation);
     suite::RunnerOptions options = runnerOptionsOf(command);
     // Calibration checks need less precision than the study runs.
     options.sampleOps = command.flagUint("sample", 400'000);
@@ -410,28 +449,14 @@ cmdValidate(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdRecord(const CommandLine &command, std::ostream &out,
-          std::ostream &err)
+cmdRecord(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: record needs an application name\n";
-        return 2;
-    }
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    if (command.positional.size() < 2)
+        usageError("record needs an application name");
+    const InputSize size = sizeOf(command);
     const std::string &name = command.positional[1];
-    const auto &suite = workloads::cpu2017Suite();
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name << "'\n";
-        return 2;
-    }
+    const workloads::WorkloadProfile *profile =
+        &profileOf(workloads::cpu2017Suite(), name);
     const std::string path =
         command.flag("out", name + "." + inputSizeName(size) + ".s17t");
     workloads::BuildOptions build;
@@ -445,90 +470,43 @@ cmdRecord(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdReplay(const CommandLine &command, std::ostream &out,
-          std::ostream &err)
+cmdReplay(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: replay needs a trace file path\n";
-        return 2;
-    }
+    if (command.positional.size() < 2)
+        usageError("replay needs a trace file path");
     trace::FileTrace source(command.positional[1]);
     sim::CpuSimulator simulator(runnerOptionsOf(command).system);
     const sim::SimResult result = simulator.run(source);
 
     out << "replayed " << fmtCount(source.size())
         << " micro-ops from " << command.positional[1] << "\n";
-    for (std::size_t e = 0; e < counters::kNumPerfEvents; ++e) {
-        const auto event = static_cast<counters::PerfEvent>(e);
-        out << "  " << fmtCount(result.counters.get(event)) << "\t"
-            << counters::perfEventName(event) << "\n";
-    }
+    renderCounters(result.counters, out);
     out << "\n  IPC " << fmtDouble(result.ipc(), 3) << " over "
         << fmtDouble(result.cycles, 0) << " cycles\n";
     return 0;
 }
 
 int
-cmdCharacterize(const CommandLine &command, std::ostream &out,
-                std::ostream &err)
+cmdCharacterize(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const SuiteGeneration generation = generationOf(command);
+    const InputSize size = sizeOf(command);
 
     core::CharacterizerOptions options;
     options.runner = runnerOptionsOf(command);
-    bool sink_ok = false;
-    const auto sink = telemetrySinkOf(command, err, sink_ok);
-    if (!sink_ok)
-        return 2;
+    const auto sink = telemetrySinkOf(command);
     options.runner.telemetrySink = sink.get();
     const auto arena_store = arenaStoreOf(command);
     options.runner.arenaStore = arena_store.get();
-    if (command.hasFlag("no-cache"))
-        options.cachePath.clear();
-    options.resume = command.hasFlag("resume");
-    if (command.hasFlag("shard")) {
-        const auto shard = suite::ShardSpec::parse(
-            command.flag("shard"));
-        if (!shard) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        options.shard = *shard;
-    }
-    telemetry::ProgressReporter::Options progress_options;
-    if (options.shard.active())
-        progress_options.shardLabel = options.shard.label();
-    telemetry::ProgressReporter progress(progress_options);
-    if (command.hasFlag("progress")) {
-        options.pairObserver = [&progress](
-                                   const suite::PairResult &result,
-                                   std::size_t index,
-                                   std::size_t total) {
-            progress.onItemDone(
-                result.name, index, total,
-                result.counters.get(
-                    counters::PerfEvent::InstRetiredAny),
-                result.attempts, result.errored, result.replayed);
-        };
-    }
+    const CampaignOptions campaign = campaignOptionsOf(command);
+    options.cachePath = campaign.cachePath;
+    options.resume = campaign.resume;
+    options.shard = campaign.shard;
+    if (campaign.progress)
+        options.pairObserver = pairProgress(*campaign.progress);
     core::Characterizer session(options);
-    std::vector<core::Metrics> metrics;
-    try {
-        metrics = session.metrics(generation, size);
-    } catch (const suite::JournalConfigMismatchError &e) {
-        // A --resume against another campaign's journal: refusing is
-        // the whole point -- replaying it would silently splice two
-        // configurations into one result set.
-        err << "error: " << e.what() << "\n";
-        return 2;
-    }
+    const std::vector<core::Metrics> metrics =
+        session.metrics(generation, size);
 
     // With sampling enabled, surface the per-pair interval-IPC
     // coefficient of variation (series exist only for pairs actually
@@ -591,60 +569,33 @@ int
 cmdCorun(const CommandLine &command, std::ostream &out,
          std::ostream &err)
 {
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const InputSize size = sizeOf(command);
     const auto &suite = workloads::cpu2017Suite();
 
     // Resolve the application subset with contained errors: a typo'd
     // or threaded (speed) app is a usage error, not a panic.
-    std::vector<std::string> apps;
-    if (command.hasFlag("apps")) {
-        std::string cell;
-        std::istringstream stream(command.flag("apps"));
-        while (std::getline(stream, cell, ','))
-            if (!cell.empty())
-                apps.push_back(cell);
-    } else {
-        apps.assign(std::begin(kCorunDemoApps),
-                    std::end(kCorunDemoApps));
-    }
+    const std::vector<std::string> apps = command.hasFlag("apps")
+        ? listOf(command.flag("apps"))
+        : std::vector<std::string>(std::begin(kCorunDemoApps),
+                                   std::end(kCorunDemoApps));
     for (const std::string &name : apps) {
-        const workloads::WorkloadProfile *profile = nullptr;
-        for (const auto &candidate : suite)
-            if (candidate.name == name)
-                profile = &candidate;
-        if (profile == nullptr) {
-            err << "error: no application named '" << name
-                << "' (try: spec17 list)\n";
-            return 2;
-        }
-        if (profile->numThreads != 1) {
-            err << "error: " << name << " runs "
-                << profile->numThreads
-                << " threads; co-run groups take single-threaded "
-                   "(rate) applications\n";
-            return 2;
-        }
+        const unsigned threads = profileOf(suite, name).numThreads;
+        if (threads != 1)
+            usageError(name, " runs ", threads,
+                       " threads; co-run groups take single-threaded "
+                       "(rate) applications");
     }
 
+    const suite::RunnerOptions runner_options = runnerOptionsOf(command);
     corun::CorunOptions options;
     options.sampleOps = command.flagUint("sample", 300'000);
     options.warmupOps = command.flagUint("warmup", 100'000);
     options.chunkOps = command.flagUint("corun-chunk", 10'000);
-    options.jobs =
-        static_cast<unsigned>(command.flagUint("jobs", 1));
+    options.jobs = runner_options.jobs;
     options.size = size;
-    if (command.hasFlag("predictor"))
-        options.system.branchPredictor = command.flag("predictor");
-    if (command.hasFlag("prefetcher"))
-        options.system.hierarchy.prefetcher =
-            command.flag("prefetcher");
-    if (options.chunkOps == 0) {
-        err << "error: --corun-chunk must be positive\n";
-        return 2;
-    }
+    options.system = runner_options.system;
+    if (options.chunkOps == 0)
+        usageError("--corun-chunk must be positive");
     const auto arena_store = arenaStoreOf(command);
     options.arenaStore = arena_store.get();
 
@@ -654,47 +605,25 @@ cmdCorun(const CommandLine &command, std::ostream &out,
     plan.includeSelf = !command.hasFlag("no-self");
     plan.partitionSweep = command.hasFlag("partition");
     plan.l3Ways = options.system.hierarchy.l3.assoc;
-    if (plan.partitionSweep && plan.groupSize != 2) {
-        err << "error: --partition sweeps pairs, not quartets\n";
-        return 2;
-    }
+    if (plan.partitionSweep && plan.groupSize != 2)
+        usageError("--partition sweeps pairs, not quartets");
     if (apps.size() < (plan.groupSize == 2 && plan.includeSelf
                            ? 1u
-                           : plan.groupSize)) {
-        err << "error: " << apps.size()
-            << " application(s) cannot form groups of "
-            << plan.groupSize << "\n";
-        return 2;
-    }
+                           : plan.groupSize))
+        usageError(apps.size(), " application(s) cannot form groups of ",
+                   plan.groupSize);
     const std::vector<corun::CorunGroup> groups =
         corun::planGroups(suite, plan);
 
+    const CampaignOptions campaign = campaignOptionsOf(command);
     corun::CorunRunner runner(options);
-    corun::CorunStore store(command.hasFlag("no-cache")
-                                ? ""
-                                : suite::ResultCache::defaultPath(),
-                            command.hasFlag("resume"));
-    suite::ShardSpec shard;
-    if (command.hasFlag("shard")) {
-        const auto parsed =
-            suite::ShardSpec::parse(command.flag("shard"));
-        if (!parsed) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        shard = *parsed;
-        store.setShard(shard);
-    }
-
-    telemetry::ProgressReporter::Options progress_options;
-    if (shard.active())
-        progress_options.shardLabel = shard.label();
-    telemetry::ProgressReporter progress(progress_options);
+    corun::CorunStore store(campaign.cachePath, campaign.resume);
+    store.setShard(campaign.shard);
     corun::CorunRunner::GroupObserver observer;
-    if (command.hasFlag("progress")) {
-        observer = [&progress](const corun::CorunResult &result,
-                               std::size_t index, std::size_t total) {
+    if (campaign.progress) {
+        observer = [&progress = *campaign.progress](
+                       const corun::CorunResult &result,
+                       std::size_t index, std::size_t total) {
             std::uint64_t ops = 0;
             for (const auto &member : result.members)
                 ops += member.instructions;
@@ -702,14 +631,8 @@ cmdCorun(const CommandLine &command, std::ostream &out,
                                 false, result.replayed);
         };
     }
-
-    std::vector<corun::CorunResult> results;
-    try {
-        results = store.runOrLoad(runner, groups, observer);
-    } catch (const corun::CorunJournalMismatchError &e) {
-        err << "error: " << e.what() << "\n";
-        return 2;
-    }
+    const std::vector<corun::CorunResult> results =
+        store.runOrLoad(runner, groups, observer);
 
     if (command.hasFlag("export-jsonl")) {
         const std::string path = command.flag("export-jsonl");
@@ -859,72 +782,46 @@ cmdExplore(const CommandLine &command, std::ostream &out,
     // the geometry grids. Contradictions are contained exit-2 usage
     // errors, caught before any simulation starts.
     const std::string axis = command.flag("axis");
-    std::vector<std::string> multi;
-    if (command.hasFlag("multi-axis")) {
-        std::string cell;
-        std::istringstream stream(command.flag("multi-axis"));
-        while (std::getline(stream, cell, ','))
-            if (!cell.empty())
-                multi.push_back(cell);
-    }
+    const std::vector<std::string> multi =
+        listOf(command.flag("multi-axis"));
     const std::string mode = command.flag("multi-axis-mode", "product");
     if (command.hasFlag("multi-axis-mode")
-        && !command.hasFlag("multi-axis")) {
-        err << "error: --multi-axis-mode without --multi-axis has "
-               "nothing to apply to\n";
-        return 2;
-    }
-    if (mode != "product" && mode != "descent") {
-        err << "error: unknown --multi-axis-mode '" << mode
-            << "' (want product|descent)\n";
-        return 2;
-    }
-    if (command.hasFlag("axis") && command.hasFlag("multi-axis")) {
-        err << "error: --axis is contradictory with --multi-axis "
-               "(one sweep shape per run)\n";
-        return 2;
-    }
+        && !command.hasFlag("multi-axis"))
+        usageError("--multi-axis-mode without --multi-axis has nothing "
+                   "to apply to");
+    if (mode != "product" && mode != "descent")
+        usageError("unknown --multi-axis-mode '", mode,
+                   "' (want product|descent)");
+    if (command.hasFlag("axis") && command.hasFlag("multi-axis"))
+        usageError("--axis is contradictory with --multi-axis (one "
+                   "sweep shape per run)");
+    std::string axis_names;
+    for (const std::string &name : explore::axisNames())
+        axis_names += " " + name;
     if (command.hasFlag("multi-axis")) {
-        if (multi.size() < 2) {
-            err << "error: --multi-axis wants two or more "
-                   "comma-separated axes (use --axis for one)\n";
-            return 2;
-        }
+        if (multi.size() < 2)
+            usageError("--multi-axis wants two or more comma-separated "
+                       "axes (use --axis for one)");
+        for (const std::string &name : explore::geometryAxisNames())
+            axis_names += " " + name;
         for (std::size_t i = 0; i < multi.size(); ++i) {
             for (std::size_t j = i + 1; j < multi.size(); ++j) {
-                if (multi[i] == multi[j]) {
-                    err << "error: --multi-axis repeats axis '"
-                        << multi[i] << "'\n";
-                    return 2;
-                }
+                if (multi[i] == multi[j])
+                    usageError("--multi-axis repeats axis '", multi[i],
+                               "'");
             }
             if (!explore::isAxis(multi[i])
-                && !explore::isGeometryAxis(multi[i])) {
-                err << "error: unknown --multi-axis axis '" << multi[i]
-                    << "' (want one of";
-                for (const std::string &name : explore::axisNames())
-                    err << " " << name;
-                for (const std::string &name :
-                     explore::geometryAxisNames())
-                    err << " " << name;
-                err << ")\n";
-                return 2;
-            }
+                && !explore::isGeometryAxis(multi[i]))
+                usageError("unknown --multi-axis axis '", multi[i],
+                           "' (want one of", axis_names, ")");
         }
     } else if (!explore::isAxis(axis)) {
-        err << "error: explore needs --axis=AXIS with AXIS one of";
-        for (const std::string &name : explore::axisNames())
-            err << " " << name;
-        err << (axis.empty() ? "" : "; got '" + axis + "'") << "\n";
-        return 2;
+        usageError("explore needs --axis=AXIS with AXIS one of",
+                   axis_names,
+                   axis.empty() ? "" : "; got '" + axis + "'");
     }
-    bool ok = false;
-    const SuiteGeneration generation = generationOf(command, err, ok);
-    if (!ok)
-        return 2;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    const SuiteGeneration generation = generationOf(command);
+    const InputSize size = sizeOf(command);
 
     explore::ExploreOptions options;
     options.runner = runnerOptionsOf(command);
@@ -943,60 +840,30 @@ cmdExplore(const CommandLine &command, std::ostream &out,
     for (const std::string &name : multi) {
         const std::string plan_error =
             explore::axisPlanError(name, options.runner.system);
-        if (!plan_error.empty()) {
-            err << "error: " << plan_error << "\n";
-            return 2;
-        }
+        if (!plan_error.empty())
+            usageError(plan_error);
     }
-    if (command.hasFlag("no-cache"))
-        options.cachePath.clear();
-    options.resume = command.hasFlag("resume");
-    if (command.hasFlag("shard")) {
-        const auto shard =
-            suite::ShardSpec::parse(command.flag("shard"));
-        if (!shard) {
-            err << "error: --shard wants K/N with 1 <= K <= N, got '"
-                << command.flag("shard") << "'\n";
-            return 2;
-        }
-        options.shard = *shard;
-    }
-    telemetry::ProgressReporter::Options progress_options;
-    if (options.shard.active())
-        progress_options.shardLabel = options.shard.label();
-    telemetry::ProgressReporter progress(progress_options);
-    if (command.hasFlag("progress")) {
-        options.pairObserver = [&progress](
-                                   const suite::PairResult &result,
-                                   std::size_t index,
-                                   std::size_t total) {
-            progress.onItemDone(
-                result.name, index, total,
-                result.counters.get(
-                    counters::PerfEvent::InstRetiredAny),
-                result.attempts, result.errored, result.replayed);
-        };
-    }
+    const CampaignOptions campaign = campaignOptionsOf(command);
+    options.cachePath = campaign.cachePath;
+    options.resume = campaign.resume;
+    options.shard = campaign.shard;
+    if (campaign.progress)
+        options.pairObserver = pairProgress(*campaign.progress);
 
     explore::ExploreRunner runner(options);
     std::vector<explore::PointResult> results;
     std::vector<explore::DescentStep> descent;
-    try {
-        if (multi.empty()) {
-            results = runner.runAxis(axis);
-        } else if (mode == "product") {
-            results = runner.runCross(multi);
-        } else {
-            descent = runner.runDescent(multi);
-            // Flatten for the shared renderers; each stage keeps its
-            // own Pareto marks (the axis column tells stages apart).
-            for (const auto &step : descent)
-                results.insert(results.end(), step.points.begin(),
-                               step.points.end());
-        }
-    } catch (const suite::JournalConfigMismatchError &e) {
-        err << "error: " << e.what() << "\n";
-        return 2;
+    if (multi.empty()) {
+        results = runner.runAxis(axis);
+    } else if (mode == "product") {
+        results = runner.runCross(multi);
+    } else {
+        descent = runner.runDescent(multi);
+        // Flatten for the shared renderers; each stage keeps its own
+        // Pareto marks (the axis column tells stages apart).
+        for (const auto &step : descent)
+            results.insert(results.end(), step.points.begin(),
+                           step.points.end());
     }
 
     if (command.hasFlag("export-jsonl")) {
@@ -1078,16 +945,11 @@ int
 cmdMerge(const CommandLine &command, std::ostream &out,
          std::ostream &err)
 {
-    if (command.positional.size() < 2) {
-        err << "error: merge needs shard journal files (try: spec17 "
-               "merge --out=merged.csv shard1.csv shard2.csv ...)\n";
-        return 2;
-    }
-    if (!command.hasFlag("out")) {
-        err << "error: merge needs --out=FILE for the merged "
-               "journal\n";
-        return 2;
-    }
+    if (command.positional.size() < 2)
+        usageError("merge needs shard journal files (try: spec17 merge "
+                   "--out=merged.csv shard1.csv shard2.csv ...)");
+    if (!command.hasFlag("out"))
+        usageError("merge needs --out=FILE for the merged journal");
     const std::vector<std::string> paths(
         command.positional.begin() + 1, command.positional.end());
     const auto outcome = suite::mergeJournals(
@@ -1106,14 +968,11 @@ cmdMerge(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdFsck(const CommandLine &command, std::ostream &out,
-        std::ostream &err)
+cmdFsck(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: fsck needs journal files (try: spec17 fsck "
-               "results.cpu2017.ref.csv)\n";
-        return 2;
-    }
+    if (command.positional.size() < 2)
+        usageError("fsck needs journal files (try: spec17 fsck "
+                   "results.cpu2017.ref.csv)");
     const bool repair = command.hasFlag("repair");
     int bad = 0;
     for (std::size_t i = 1; i < command.positional.size(); ++i) {
@@ -1157,14 +1016,11 @@ cmdFsck(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdSubset(const CommandLine &command, std::ostream &out,
-          std::ostream &err)
+cmdSubset(const CommandLine &command, std::ostream &out, std::ostream &)
 {
     const std::string which = command.flag("set", "rate");
-    if (which != "rate" && which != "speed") {
-        err << "error: --set must be rate or speed\n";
-        return 2;
-    }
+    if (which != "rate" && which != "speed")
+        usageError("--set must be rate or speed");
     core::CharacterizerOptions options;
     options.runner = runnerOptionsOf(command);
     if (command.hasFlag("no-cache"))
@@ -1186,28 +1042,14 @@ cmdSubset(const CommandLine &command, std::ostream &out,
 }
 
 int
-cmdPhases(const CommandLine &command, std::ostream &out,
-          std::ostream &err)
+cmdPhases(const CommandLine &command, std::ostream &out, std::ostream &)
 {
-    if (command.positional.size() < 2) {
-        err << "error: phases needs an application name\n";
-        return 2;
-    }
-    bool ok = false;
-    const InputSize size = sizeOf(command, err, ok);
-    if (!ok)
-        return 2;
+    if (command.positional.size() < 2)
+        usageError("phases needs an application name");
+    const InputSize size = sizeOf(command);
     const std::string &name = command.positional[1];
-    const auto &suite = workloads::cpu2017Suite();
-    const workloads::WorkloadProfile *profile = nullptr;
-    for (const auto &candidate : suite) {
-        if (candidate.name == name)
-            profile = &candidate;
-    }
-    if (profile == nullptr) {
-        err << "error: no application named '" << name << "'\n";
-        return 2;
-    }
+    const workloads::WorkloadProfile *profile =
+        &profileOf(workloads::cpu2017Suite(), name);
 
     const auto runner_options = runnerOptionsOf(command);
     workloads::BuildOptions build;
@@ -1239,6 +1081,89 @@ cmdPhases(const CommandLine &command, std::ostream &out,
     return 0;
 }
 
+/**
+ * Rejects unknown flags and contradictory or out-of-range values
+ * before any verb runs, so they are contained usage errors instead of
+ * library-level fatal checks inside a simulator.
+ */
+void
+validateFlags(const CommandLine &command)
+{
+    // A typo'd flag is a loud error, not a silently ignored no-op.
+    for (const auto &[name, value] : command.flags) {
+        const bool known = std::any_of(
+            flagTable().begin(), flagTable().end(),
+            [&name](const FlagSpec &spec) { return name == spec.name; });
+        if (!known)
+            usageError("unknown flag '--", name,
+                       "' (see spec17 --help for the accepted flags)");
+    }
+    // The runners refuse samples too short to be meaningful.
+    if (command.hasFlag("sample")
+        && command.flagUint("sample", 0) < suite::kMinSampleOps)
+        usageError("--sample must be at least ", suite::kMinSampleOps,
+                   " micro-ops");
+    // An explicit zero batch size would silently run some other size.
+    if (command.hasFlag("batch-ops")
+        && command.flagUint("batch-ops", 0) == 0)
+        usageError("--batch-ops must be positive");
+    // Spilling exists to persist captured arenas; with capture/replay
+    // disabled there is nothing to spill.
+    if (command.hasFlag("arena-spill-dir")
+        && command.flagUint("trace-arena-mb", 512) == 0)
+        usageError("--arena-spill-dir is contradictory with "
+                   "--trace-arena-mb=0 (trace capture/replay disabled, "
+                   "nothing to spill)");
+    if (command.hasFlag("way-predictor")) {
+        const std::string name = command.flag("way-predictor");
+        if (name != "none" && name != "mru" && name != "utag")
+            usageError("unknown --way-predictor '", name,
+                       "' (want none|mru|utag)");
+        if (name != "none"
+            && runnerOptionsOf(command).system.hierarchy.l1d.assoc < 2)
+            usageError("--way-predictor=", name,
+                       " is contradictory with a direct-mapped L1D "
+                       "(nothing to predict)");
+    }
+    if (command.hasFlag("tage-tables")
+        && command.flagUint("tage-tables", 0) == 0)
+        usageError("--tage-tables=0 is contradictory (TAGE needs at "
+                   "least one tagged history table)");
+    if (command.hasFlag("stream-degree")
+        && command.flagUint("stream-degree", 0) == 0)
+        usageError("--stream-degree must be positive");
+    const std::uint64_t degree = command.flagUint("stream-degree", 4);
+    const std::uint64_t distance = command.flagUint("stream-distance", 16);
+    if (degree > distance)
+        usageError("--stream-degree=", degree,
+                   " is contradictory with --stream-distance=", distance,
+                   " (a burst cannot overshoot the run-ahead window)");
+}
+
+/** Runs the verb @p command names. */
+int
+dispatch(const CommandLine &command, std::ostream &out,
+         std::ostream &err)
+{
+    using Verb = int (*)(const CommandLine &, std::ostream &,
+                         std::ostream &);
+    static const std::map<std::string, Verb> verbs = {
+        {"config", cmdConfig},     {"list", cmdList},
+        {"stat", cmdStat},         {"characterize", cmdCharacterize},
+        {"corun", cmdCorun},       {"explore", cmdExplore},
+        {"subset", cmdSubset},     {"phases", cmdPhases},
+        {"record", cmdRecord},     {"replay", cmdReplay},
+        {"validate", cmdValidate}, {"events", cmdEvents},
+        {"merge", cmdMerge},       {"fsck", cmdFsck},
+    };
+    const auto verb = verbs.find(command.command);
+    if (verb != verbs.end())
+        return verb->second(command, out, err);
+    err << "error: unknown command '" << command.command << "'\n\n"
+        << usage();
+    return 2;
+}
+
 } // namespace
 
 std::string
@@ -1256,12 +1181,13 @@ CommandLine::flagUint(const std::string &key,
     const auto it = flags.find(key);
     if (it == flags.end())
         return fallback;
-    try {
-        return std::stoull(it->second);
-    } catch (const std::exception &) {
+    // A whole cell of decimal digits only: "5000x", "1e6" and "-1"
+    // are typos, not 5000, 1 and 2^64-1.
+    const auto value = suite::parseUintCell(it->second);
+    if (!value)
         SPEC17_FATAL("flag --", key, " wants a number, got '",
                      it->second, "'");
-    }
+    return *value;
 }
 
 bool
@@ -1296,142 +1222,135 @@ const std::vector<FlagSpec> &
 flagTable()
 {
     // Single source of truth for the accepted flag set: usage()
-    // renders this table and runCommand() validates against it.
+    // renders this table and runCommand() validates against it. A
+    // group renders once per contiguous run of its label.
+    static const char *const kCommon = "common flags";
+    static const char *const kFaults = "fault isolation (characterize)";
+    static const char *const kTelemetry = "telemetry (stat, characterize)";
+    static const char *const kCampaign =
+        "campaign flags (characterize, corun, explore)";
+    static const char *const kLanes = "batched hot path (stat, characterize)";
+    static const char *const kJournals = "sharded campaigns (merge, fsck)";
+    static const char *const kCorun = "co-run interference (corun)";
+    static const char *const kUarch =
+        "uarch mechanisms (stat, characterize, corun, explore)";
+    static const char *const kExplore = "design-space exploration (explore)";
+    static const char *const kArena =
+        "trace capture/replay (stat, characterize, explore, corun)";
     static const std::vector<FlagSpec> table = {
         {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
-         "common flags"},
-        {"size", "test|train|ref", "input size (default ref)",
-         "common flags"},
-        {"input", "N", "1-based input index (default 1)",
-         "common flags"},
-        {"sample", "N", "simulated micro-ops measured per pair",
-         "common flags"},
+         kCommon},
+        {"size", "test|train|ref", "input size (default ref)", kCommon},
+        {"input", "N", "1-based input index (default 1)", kCommon},
+        {"sample", "N",
+         "simulated micro-ops measured per pair (at least 1000)", kCommon},
         {"warmup", "N", "simulated micro-ops warmed before measuring",
-         "common flags"},
+         kCommon},
         {"predictor", "NAME",
-         "static-taken|bimodal|gshare|tournament|tage", "common flags"},
-        {"prefetcher", "NAME", "none|next-line|stride|stream",
-         "common flags"},
-        {"set", "rate|speed", "pair set for subset", "common flags"},
-        {"clusters", "N", "force the subset size", "common flags"},
-        {"csv", "", "CSV output (characterize)", "common flags"},
-        {"no-cache", "", "ignore the result cache", "common flags"},
-        {"out", "FILE", "output path (record)", "common flags"},
-        {"tolerance", "N", "allowed deviation in pp (validate)",
-         "common flags"},
-        {"strict", "", "nonzero exit on deviations (validate)",
-         "common flags"},
-        {"help", "", "print this help", "common flags"},
-        {"retries", "N", "retry failed pairs up to N times",
-         "fault isolation (characterize)"},
+         "static-taken|bimodal|gshare|tournament|tage", kCommon},
+        {"prefetcher", "NAME", "none|next-line|stride|stream", kCommon},
+        {"set", "rate|speed", "pair set for subset", kCommon},
+        {"clusters", "N", "force the subset size", kCommon},
+        {"csv", "", "CSV output (characterize)", kCommon},
+        {"no-cache", "", "ignore the result cache", kCommon},
+        {"out", "FILE", "output path (record)", kCommon},
+        {"tolerance", "N", "allowed deviation in pp (validate)", kCommon},
+        {"strict", "", "nonzero exit on deviations (validate)", kCommon},
+        {"help", "", "print this help", kCommon},
+        {"retries", "N", "retry failed pairs up to N times", kFaults},
         {"retry-backoff-ms", "N",
-         "base backoff between retries (doubles per attempt)",
-         "fault isolation (characterize)"},
+         "base backoff between retries (doubles per attempt)", kFaults},
         {"pair-deadline", "N",
-         "per-pair micro-op budget (deterministic watchdog)",
-         "fault isolation (characterize)"},
-        {"pair-deadline-ms", "N", "per-pair wall-clock budget",
-         "fault isolation (characterize)"},
-        {"resume", "", "resume an interrupted sweep from the journal",
-         "fault isolation (characterize)"},
+         "per-pair micro-op budget (deterministic watchdog)", kFaults},
+        {"pair-deadline-ms", "N", "per-pair wall-clock budget", kFaults},
         {"sample-interval-ops", "N",
          "per-pair interval series every N micro-ops (perf stat -I; "
          "0=off)",
-         "telemetry (stat, characterize)"},
-        {"telemetry-out", "DIR",
-         "write one series file per pair into DIR",
-         "telemetry (stat, characterize)"},
+         kTelemetry},
+        {"telemetry-out", "DIR", "write one series file per pair into DIR",
+         kTelemetry},
         {"telemetry-format", "csv|jsonl",
-         "series file format (default csv)",
-         "telemetry (stat, characterize)"},
-        {"progress", "",
-         "throttled sweep_progress events on stderr (pair k/N, "
-         "ops/s, ETA)",
-         "telemetry (stat, characterize)"},
+         "series file format (default csv)", kTelemetry},
+        {"resume", "", "resume an interrupted sweep from the journal",
+         kCampaign},
         {"jobs", "N",
-         "sweep worker threads (default 1; 0=hardware concurrency); "
-         "results are byte-identical at any N",
-         "parallel execution (characterize)"},
+         "worker threads for parallel execution (default 1; "
+         "0=hardware concurrency); results are byte-identical at any N",
+         kCampaign},
+        {"progress", "",
+         "throttled sweep_progress events on stderr (item k/N, ops/s, "
+         "ETA)",
+         kCampaign},
+        {"shard", "K/N",
+         "run shard K of N of the sweep; journals to a per-shard file, "
+         "fuse with `spec17 merge`",
+         kCampaign},
+        {"export-jsonl", "FILE",
+         "write one JSON record per group/point (corun, explore)",
+         kCampaign},
         {"batch-ops", "N",
          "fast-lane micro-op batch size (default 256); results are "
          "byte-identical at any N >= 1",
-         "batched hot path (stat, characterize)"},
+         kLanes},
         {"unbatched-stepping", "",
          "per-op reference lane instead of the batched fast lane "
          "(identity debugging; slow)",
-         "batched hot path (stat, characterize)"},
-        {"shard", "K/N",
-         "run shard K of N of the sweep; journals to a per-shard "
-         "file, fuse with `spec17 merge`",
-         "sharded campaigns (characterize, merge, fsck)"},
+         kLanes},
         {"allow-partial", "",
          "merge: keep the contiguous record prefix when shards are "
          "missing or partial",
-         "sharded campaigns (characterize, merge, fsck)"},
+         kJournals},
         {"repair", "",
-         "fsck: atomically drop the damaged suffix of corrupt "
-         "journals",
-         "sharded campaigns (characterize, merge, fsck)"},
+         "fsck: atomically drop the damaged suffix of corrupt journals",
+         kJournals},
         {"apps", "A,B,...",
-         "applications to co-run (default: a 4-app demo subset)",
-         "co-run interference (corun)"},
-        {"quartets", "", "4-app groups instead of pairs",
-         "co-run interference (corun)"},
-        {"no-self", "", "skip self-pairs (two copies of one app)",
-         "co-run interference (corun)"},
+         "applications to co-run (default: a 4-app demo subset)", kCorun},
+        {"quartets", "", "4-app groups instead of pairs", kCorun},
+        {"no-self", "", "skip self-pairs (two copies of one app)", kCorun},
         {"partition", "",
-         "sweep every contiguous CAT way split per pair (Pareto "
-         "table)",
-         "co-run interference (corun)"},
+         "sweep every contiguous CAT way split per pair (Pareto table)",
+         kCorun},
         {"corun-chunk", "N",
          "context-interleave granularity in micro-ops (contention "
          "semantics: part of the config key)",
-         "co-run interference (corun)"},
-        {"export-jsonl", "FILE",
-         "write one JSON record per group/point (corun, explore)",
-         "co-run interference (corun)"},
+         kCorun},
         {"l2-prefetcher", "NAME",
          "none|next-line|stride|stream at the L2 (config-key member)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         kUarch},
         {"way-predictor", "NAME",
-         "L1D way prediction: none|mru|utag (config-key member)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         "L1D way prediction: none|mru|utag (config-key member)", kUarch},
         {"way-penalty", "N",
-         "extra load cycles on a way mispredict (default 2)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         "extra load cycles on a way mispredict (default 2)", kUarch},
         {"stream-degree", "N",
          "stream-prefetch lines issued per trained observation "
          "(default 4)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         kUarch},
         {"stream-distance", "N",
-         "stream-prefetch run-ahead window in lines (default 16)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         "stream-prefetch run-ahead window in lines (default 16)", kUarch},
         {"tage-tables", "N",
          "TAGE tagged history tables (default 4; used with "
          "--predictor=tage)",
-         "uarch mechanisms (stat, characterize, explore)"},
+         kUarch},
         {"axis", "AXIS",
-         "swept axis: predictor|prefetcher|l2-prefetcher|"
-         "way-predictor",
-         "design-space exploration (explore)"},
+         "swept axis: predictor|prefetcher|l2-prefetcher|way-predictor",
+         kExplore},
         {"multi-axis", "A,B,...",
          "sweep two or more axes together (mechanism axes plus "
          "tage-geometry|stream-geometry grids)",
-         "design-space exploration (explore)"},
+         kExplore},
         {"multi-axis-mode", "MODE",
          "product (cross every combination, default) or descent "
          "(per-axis knee folded into the base)",
-         "design-space exploration (explore)"},
-        {"explore-out", "FILE", "write the Pareto table as CSV",
-         "design-space exploration (explore)"},
+         kExplore},
+        {"explore-out", "FILE", "write the Pareto table as CSV", kExplore},
         {"trace-arena-mb", "N",
          "trace-arena byte budget in MiB (default 512; 0 disables "
          "capture/replay); results are byte-identical either way",
-         "trace capture/replay (stat, characterize, explore, corun)"},
+         kArena},
         {"arena-spill-dir", "DIR",
-         "persist captured arenas as S17A files under DIR; evicted "
-         "or cross-run arenas reload instead of recapturing",
-         "trace capture/replay (stat, characterize, explore, corun)"},
+         "persist captured arenas as S17A files under DIR; evicted or "
+         "cross-run arenas reload instead of recapturing",
+         kArena},
     };
     return table;
 }
@@ -1496,112 +1415,19 @@ runCommand(const CommandLine &command, std::ostream &out,
         out << usage();
         return command.command.empty() ? 2 : 0;
     }
-    // Reject flags outside the table so a typo'd flag is a loud
-    // error instead of a silently ignored no-op.
-    for (const auto &[name, value] : command.flags) {
-        const bool known = std::any_of(
-            flagTable().begin(), flagTable().end(),
-            [&name](const FlagSpec &spec) { return name == spec.name; });
-        if (!known) {
-            err << "error: unknown flag '--" << name
-                << "' (see spec17 --help for the accepted flags)\n";
-            return 2;
-        }
-    }
-    // A zero batch size is meaningless; reject the explicit value
-    // loudly (same contained-error style as the corun-chunk
-    // validation) rather than silently running some other size.
-    if (command.hasFlag("batch-ops")
-        && command.flagUint("batch-ops", 0) == 0) {
-        err << "error: --batch-ops must be positive\n";
+    try {
+        validateFlags(command);
+        return dispatch(command, out, err);
+    } catch (const UsageError &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
+    } catch (const suite::JournalConfigMismatchError &e) {
+        // A --resume against another campaign's journal: refusing is
+        // the whole point -- replaying it would silently splice two
+        // configurations into one result set.
+        err << "error: " << e.what() << "\n";
         return 2;
     }
-    // Uarch-mechanism flag validation: unknown names and
-    // contradictory combinations are contained usage errors here,
-    // before any simulator construction can hit the library-level
-    // fatal checks.
-    // Spilling exists to persist captured arenas; with capture/replay
-    // disabled there is nothing to spill, so the combination is a
-    // contradiction rather than a silent no-op.
-    if (command.hasFlag("arena-spill-dir")
-        && command.flagUint("trace-arena-mb", 512) == 0) {
-        err << "error: --arena-spill-dir is contradictory with "
-               "--trace-arena-mb=0 (trace capture/replay disabled, "
-               "nothing to spill)\n";
-        return 2;
-    }
-    if (command.hasFlag("way-predictor")) {
-        const std::string name = command.flag("way-predictor");
-        if (name != "none" && name != "mru" && name != "utag") {
-            err << "error: unknown --way-predictor '" << name
-                << "' (want none|mru|utag)\n";
-            return 2;
-        }
-        if (name != "none"
-            && runnerOptionsOf(command).system.hierarchy.l1d.assoc
-                   < 2) {
-            err << "error: --way-predictor=" << name
-                << " is contradictory with a direct-mapped L1D "
-                   "(nothing to predict)\n";
-            return 2;
-        }
-    }
-    if (command.hasFlag("tage-tables")
-        && command.flagUint("tage-tables", 0) == 0) {
-        err << "error: --tage-tables=0 is contradictory (TAGE needs "
-               "at least one tagged history table)\n";
-        return 2;
-    }
-    if (command.hasFlag("stream-degree")
-        && command.flagUint("stream-degree", 0) == 0) {
-        err << "error: --stream-degree must be positive\n";
-        return 2;
-    }
-    {
-        const std::uint64_t degree =
-            command.flagUint("stream-degree", 4);
-        const std::uint64_t distance =
-            command.flagUint("stream-distance", 16);
-        if (degree > distance) {
-            err << "error: --stream-degree=" << degree
-                << " is contradictory with --stream-distance="
-                << distance
-                << " (a burst cannot overshoot the run-ahead "
-                   "window)\n";
-            return 2;
-        }
-    }
-    if (command.command == "config")
-        return cmdConfig(command, out);
-    if (command.command == "list")
-        return cmdList(command, out, err);
-    if (command.command == "stat")
-        return cmdStat(command, out, err);
-    if (command.command == "characterize")
-        return cmdCharacterize(command, out, err);
-    if (command.command == "corun")
-        return cmdCorun(command, out, err);
-    if (command.command == "explore")
-        return cmdExplore(command, out, err);
-    if (command.command == "subset")
-        return cmdSubset(command, out, err);
-    if (command.command == "phases")
-        return cmdPhases(command, out, err);
-    if (command.command == "record")
-        return cmdRecord(command, out, err);
-    if (command.command == "replay")
-        return cmdReplay(command, out, err);
-    if (command.command == "validate")
-        return cmdValidate(command, out, err);
-    if (command.command == "events")
-        return cmdEvents(command, out);
-    if (command.command == "merge")
-        return cmdMerge(command, out, err);
-    if (command.command == "fsck")
-        return cmdFsck(command, out, err);
-    err << "error: unknown command '" << command.command << "'\n\n"
-        << usage();
-    return 2;
 }
 
 } // namespace cli
