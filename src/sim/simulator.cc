@@ -213,7 +213,9 @@ CpuSimulator::consume(const isa::MicroOp &op)
 void
 CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
                            std::size_t base, std::size_t n,
-                           MemoryLaneLog *record)
+                           MemoryLaneLog *record,
+                           const MemoryLaneLog *import,
+                           std::size_t *cursor)
 {
     // Equivalent to n consume() calls over lane slots [base, base+n)
     // of @p lanes, restructured into tight per-component passes so each
@@ -241,31 +243,20 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     //    boundaries), so pc and data touches run as two sub-passes,
     //    each filtered through a local last-page memo.
     //  - Retire pass: retirement carries serial cross-op core state,
-    //    so it stays a final in-order pass fed by the per-op scratch
-    //    lanes (fetchStall_/memLatency_/l1Miss_/mispredicted_/dram_)
-    //    the earlier passes staged -- the same per-op scalars the
-    //    fused loop handed retire().
+    //    so it stays a final in-order pass fed by the per-op lanes
+    //    (fetch stall, memory latency, L1 miss, mispredict, DRAM) the
+    //    earlier passes staged -- the same per-op scalars the fused
+    //    loop handed retire().
     //  - Counter increments accumulate in locals and flush once per
     //    batch (adds are commutative, observed only at step
     //    boundaries, and batches never straddle a step boundary).
-    const unsigned inst_shift = static_cast<unsigned>(
-        std::countr_zero(config_.hierarchy.l1i.lineBytes));
-    const unsigned data_shift = static_cast<unsigned>(
-        std::countr_zero(config_.hierarchy.l1d.lineBytes));
-    const unsigned hidden = config_.core.frontendBufferCycles;
-    const bool tlb = config_.enableTlb;
-
-    // Hoisted HitLevel -> latency / fetch-stall tables (HitLevel is a
-    // dense 0..3 enum). An L1 fetch hit never stalls regardless of
-    // its latency, hence the explicit zero.
-    unsigned lat[4];
-    unsigned stall_of[4];
-    for (unsigned v = 0; v < 4; ++v) {
-        lat[v] = hierarchy_.latencyOf(static_cast<HitLevel>(v));
-        stall_of[v] = lat[v] > hidden ? lat[v] - hidden : 0;
-    }
-    stall_of[static_cast<std::size_t>(HitLevel::L1)] = 0;
-
+    // With @p import set, the cache and TLB passes -- deterministic
+    // functions of the op stream and the (identical) hierarchy/TLB
+    // configuration -- do not run: their lanes and counter deltas are
+    // read from the leader's log.batches[*cursor] instead, and this
+    // simulator's hierarchy and TLBs are never touched. The branch,
+    // footprint and retire passes run either way, so predictor state,
+    // footprint and core timing are this simulator's own.
     if (fetchStall_.size() < n) {
         fetchStall_.resize(n);
         memLatency_.resize(n);
@@ -298,149 +289,172 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
         lanes.depOnLoad.data() + base;
     const std::uint8_t *__restrict const dep_prev =
         lanes.depOnPrev.data() + base;
-    unsigned *__restrict const fetch_stall = fetchStall_.data();
-    unsigned *__restrict const mem_lat = memLatency_.data();
-    std::uint8_t *__restrict const l1_missed = l1Miss_.data();
     std::uint8_t *__restrict const mispred = mispredicted_.data();
-    std::uint8_t *__restrict const dram_code = dram_.data();
-    std::uint64_t *__restrict const inst_memo = instMemo_.data();
-    std::uint64_t *__restrict const data_memo = dataMemo_.data();
-    std::uint8_t *__restrict const data_memo_dirty =
-        dataMemoDirty_.data();
-    const SetAssocCache &l1i = hierarchy_.l1i();
-    const SetAssocCache &l1d = hierarchy_.l1d();
-    const bool data_memo_legal = dataMemoLegal_;
+    const bool tlb = config_.enableTlb;
     const bool way_pred = hierarchy_.hasWayPrediction();
 
+    // The batch's memory-side outcome counts: imported, or produced
+    // by the cache and TLB passes below.
+    MemoryLaneLog::Batch b;
     std::uint64_t inst_repeat_hits = 0;
     std::uint64_t data_repeat_hits = 0;
     std::uint64_t data_repeat_load_hits = 0;
-    std::uint64_t num_loads = 0;
-    std::uint64_t num_stores = 0;
-    std::uint64_t loads_at[4] = {0, 0, 0, 0};
-    std::uint32_t *__restrict const branch_idx = branchIdx_.data();
-    std::uint32_t *__restrict const mem_idx = memIdx_.data();
-    std::size_t branch_count = 0;
-    std::size_t mem_count = 0;
+    if (import != nullptr) {
+        SPEC17_ASSERT(*cursor < import->batches.size(),
+                      "memory-lane log exhausted: the sibling's batch "
+                      "schedule diverged from its leader's");
+        b = import->batches[(*cursor)++];
+        SPEC17_ASSERT(b.n == n,
+                      "memory-lane batch size diverged from the log "
+                      "(have ", n, ", recorded ", b.n, ")");
+    } else {
+        const unsigned inst_shift = static_cast<unsigned>(
+            std::countr_zero(config_.hierarchy.l1i.lineBytes));
+        const unsigned data_shift = static_cast<unsigned>(
+            std::countr_zero(config_.hierarchy.l1d.lineBytes));
+        const unsigned hidden = config_.core.frontendBufferCycles;
 
-    // The scratch lanes default to zero for every op; the cache pass
-    // then stores only the exceptional values (memory latencies, L1
-    // misses, DRAM transfers, non-L1 fetch stalls), turning three
-    // always-taken scalar stores per op into vectorized fills plus
-    // rare stores.
-    std::memset(fetch_stall, 0, n * sizeof(fetch_stall[0]));
-    std::memset(mem_lat, 0, n * sizeof(mem_lat[0]));
-    std::memset(l1_missed, 0, n);
-    std::memset(dram_code, 0, n);
-
-    // Cache pass: fetch + data per op, interleaved in op order. As a
-    // by-product of its class dispatch it records the branch and
-    // memory op index lists the later passes walk.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t pc = pcs[i];
-        const std::uint64_t fetch_line = pc >> inst_shift;
-        const std::uint64_t iset = l1i.setOfLine(fetch_line);
-        if (inst_memo[iset] == fetch_line) {
-            ++inst_repeat_hits;
-        } else {
-            const HitLevel fetch_level = hierarchy_.accessInstFast(pc);
-            inst_memo[iset] = fetch_line;
-            const unsigned stall =
-                stall_of[static_cast<std::size_t>(fetch_level)];
-            if (stall != 0)
-                fetch_stall[i] = stall;
+        // Hoisted HitLevel -> latency / fetch-stall tables (HitLevel
+        // is a dense 0..3 enum). An L1 fetch hit never stalls
+        // regardless of its latency, hence the explicit zero.
+        unsigned lat[4];
+        unsigned stall_of[4];
+        for (unsigned v = 0; v < 4; ++v) {
+            lat[v] = hierarchy_.latencyOf(static_cast<HitLevel>(v));
+            stall_of[v] = lat[v] > hidden ? lat[v] - hidden : 0;
         }
+        stall_of[static_cast<std::size_t>(HitLevel::L1)] = 0;
 
-        const isa::UopClass cls = classes[i];
-        if (cls == isa::UopClass::Load) {
-            ++num_loads;
-            mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
-            const std::uint64_t addr = addrs[i];
-            const std::uint64_t line = addr >> data_shift;
-            const std::uint64_t dset = l1d.setOfLine(line);
-            HitLevel level = HitLevel::L1;
-            unsigned way_penalty = 0;
-            if (data_memo_legal && data_memo[dset] == line) {
-                // Memo-skipped repeats predict correctly under MRU
-                // (the memo'd line is the set's MRU way), so they
-                // carry no penalty; utag disables the memo instead.
-                ++data_repeat_hits;
-                ++data_repeat_load_hits;
-            } else {
-                level = hierarchy_.accessDataFast(addr, false, pc);
-                if (way_pred)
-                    way_penalty = l1d.lastWayPenalty();
-                data_memo[dset] = line;
-                data_memo_dirty[dset] = 0;
-            }
-            ++loads_at[static_cast<std::size_t>(level)];
-            mem_lat[i] = lat[static_cast<std::size_t>(level)] + way_penalty;
-            if (level != HitLevel::L1) {
-                l1_missed[i] = 1;
-                if (level == HitLevel::Memory)
-                    dram_code[i] = 1;
-            }
-        } else if (cls == isa::UopClass::Store) {
-            ++num_stores;
-            mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
-            const std::uint64_t addr = addrs[i];
-            const std::uint64_t line = addr >> data_shift;
-            const std::uint64_t dset = l1d.setOfLine(line);
-            if (data_memo_legal && data_memo[dset] == line
-                && data_memo_dirty[dset] != 0) {
-                ++data_repeat_hits;
-            } else {
-                const HitLevel level =
-                    hierarchy_.accessDataFast(addr, true, pc);
-                data_memo[dset] = line;
-                data_memo_dirty[dset] = 1;
-                // Write-allocate RFO read now, dirty writeback later.
-                if (level == HitLevel::Memory)
-                    dram_code[i] = 2;
-            }
-        } else if (cls == isa::UopClass::Branch) {
-            branch_idx[branch_count++] = static_cast<std::uint32_t>(i);
-        }
-    }
+        unsigned *__restrict const fetch_stall = fetchStall_.data();
+        unsigned *__restrict const mem_lat = memLatency_.data();
+        std::uint8_t *__restrict const l1_missed = l1Miss_.data();
+        std::uint8_t *__restrict const dram_code = dram_.data();
+        std::uint64_t *__restrict const inst_memo = instMemo_.data();
+        std::uint64_t *__restrict const data_memo = dataMemo_.data();
+        std::uint8_t *__restrict const data_memo_dirty =
+            dataMemoDirty_.data();
+        const SetAssocCache &l1i = hierarchy_.l1i();
+        const SetAssocCache &l1d = hierarchy_.l1d();
+        const bool data_memo_legal = dataMemoLegal_;
 
-    // TLB passes: itlb over the pc lane, dtlb over load addresses.
-    std::uint64_t itlb_walks = 0;
-    std::uint64_t dtlb_walks = 0;
-    if (tlb) {
+        std::uint64_t num_loads = 0;
+        std::uint64_t num_stores = 0;
+        std::uint64_t loads_at[4] = {0, 0, 0, 0};
+        std::uint32_t *__restrict const branch_idx = branchIdx_.data();
+        std::uint32_t *__restrict const mem_idx = memIdx_.data();
+        std::size_t branch_count = 0;
+        std::size_t mem_count = 0;
+
+        // The scratch lanes default to zero for every op; the cache
+        // pass then stores only the exceptional values (memory
+        // latencies, L1 misses, DRAM transfers, non-L1 fetch stalls),
+        // turning three always-taken scalar stores per op into
+        // vectorized fills plus rare stores.
+        std::memset(fetch_stall, 0, n * sizeof(fetch_stall[0]));
+        std::memset(mem_lat, 0, n * sizeof(mem_lat[0]));
+        std::memset(l1_missed, 0, n);
+        std::memset(dram_code, 0, n);
+
+        // Cache pass: fetch + data per op, interleaved in op order. As
+        // a by-product of its class dispatch it records the branch and
+        // memory op index lists the later passes walk.
         for (std::size_t i = 0; i < n; ++i) {
-            const TlbOutcome outcome = itlb_.access(pcs[i]);
-            fetch_stall[i] += outcome.extraLatency;
-            if (!outcome.l1Hit && !outcome.l2Hit)
-                ++itlb_walks;
-        }
-        for (std::size_t j = 0; j < mem_count; ++j) {
-            const std::size_t i = mem_idx[j];
-            if (classes[i] != isa::UopClass::Load)
-                continue;
-            const TlbOutcome outcome = dtlb_.access(addrs[i]);
-            mem_lat[i] += outcome.extraLatency;
-            // A translation longer than the L1 hit pipeline behaves
-            // like a miss for overlap purposes.
-            l1_missed[i] |= outcome.extraLatency > 0;
-            if (!outcome.l1Hit && !outcome.l2Hit)
-                ++dtlb_walks;
-        }
-    }
+            const std::uint64_t pc = pcs[i];
+            const std::uint64_t fetch_line = pc >> inst_shift;
+            const std::uint64_t iset = l1i.setOfLine(fetch_line);
+            if (inst_memo[iset] == fetch_line) {
+                ++inst_repeat_hits;
+            } else {
+                const HitLevel fetch_level =
+                    hierarchy_.accessInstFast(pc);
+                inst_memo[iset] = fetch_line;
+                const unsigned stall =
+                    stall_of[static_cast<std::size_t>(fetch_level)];
+                if (stall != 0)
+                    fetch_stall[i] = stall;
+            }
 
-    // Lane recording: the scratch lanes are now final (only the
-    // branch pass still writes, and only to mispred), so a clone-
-    // group sibling replaying the identical stream can import them
-    // plus the counter deltas instead of re-running the cache and
-    // TLB passes. One bulk append per lane.
-    if (record != nullptr) {
-        MemoryLaneLog::Batch b;
+            const isa::UopClass cls = classes[i];
+            if (cls == isa::UopClass::Load) {
+                ++num_loads;
+                mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
+                const std::uint64_t addr = addrs[i];
+                const std::uint64_t line = addr >> data_shift;
+                const std::uint64_t dset = l1d.setOfLine(line);
+                HitLevel level = HitLevel::L1;
+                unsigned way_penalty = 0;
+                if (data_memo_legal && data_memo[dset] == line) {
+                    // Memo-skipped repeats predict correctly under MRU
+                    // (the memo'd line is the set's MRU way), so they
+                    // carry no penalty; utag disables the memo
+                    // instead.
+                    ++data_repeat_hits;
+                    ++data_repeat_load_hits;
+                } else {
+                    level = hierarchy_.accessDataFast(addr, false, pc);
+                    if (way_pred)
+                        way_penalty = l1d.lastWayPenalty();
+                    data_memo[dset] = line;
+                    data_memo_dirty[dset] = 0;
+                }
+                ++loads_at[static_cast<std::size_t>(level)];
+                mem_lat[i] =
+                    lat[static_cast<std::size_t>(level)] + way_penalty;
+                if (level != HitLevel::L1) {
+                    l1_missed[i] = 1;
+                    if (level == HitLevel::Memory)
+                        dram_code[i] = 1;
+                }
+            } else if (cls == isa::UopClass::Store) {
+                ++num_stores;
+                mem_idx[mem_count++] = static_cast<std::uint32_t>(i);
+                const std::uint64_t addr = addrs[i];
+                const std::uint64_t line = addr >> data_shift;
+                const std::uint64_t dset = l1d.setOfLine(line);
+                if (data_memo_legal && data_memo[dset] == line
+                    && data_memo_dirty[dset] != 0) {
+                    ++data_repeat_hits;
+                } else {
+                    const HitLevel level =
+                        hierarchy_.accessDataFast(addr, true, pc);
+                    data_memo[dset] = line;
+                    data_memo_dirty[dset] = 1;
+                    // Write-allocate RFO read now, dirty writeback
+                    // later.
+                    if (level == HitLevel::Memory)
+                        dram_code[i] = 2;
+                }
+            } else if (cls == isa::UopClass::Branch) {
+                branch_idx[branch_count++] = static_cast<std::uint32_t>(i);
+            }
+        }
+
+        // TLB passes: itlb over the pc lane, dtlb over load addresses.
+        std::uint64_t itlb_walks = 0;
+        std::uint64_t dtlb_walks = 0;
+        if (tlb) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const TlbOutcome outcome = itlb_.access(pcs[i]);
+                fetch_stall[i] += outcome.extraLatency;
+                if (!outcome.l1Hit && !outcome.l2Hit)
+                    ++itlb_walks;
+            }
+            for (std::size_t j = 0; j < mem_count; ++j) {
+                const std::size_t i = mem_idx[j];
+                if (classes[i] != isa::UopClass::Load)
+                    continue;
+                const TlbOutcome outcome = dtlb_.access(addrs[i]);
+                mem_lat[i] += outcome.extraLatency;
+                // A translation longer than the L1 hit pipeline
+                // behaves like a miss for overlap purposes.
+                l1_missed[i] |= outcome.extraLatency > 0;
+                if (!outcome.l1Hit && !outcome.l2Hit)
+                    ++dtlb_walks;
+            }
+        }
+
         b.n = static_cast<std::uint32_t>(n);
-        b.laneOffset =
-            static_cast<std::uint32_t>(record->fetchStall.size());
-        b.memOffset = static_cast<std::uint32_t>(record->memIdx.size());
         b.memCount = static_cast<std::uint32_t>(mem_count);
-        b.branchOffset =
-            static_cast<std::uint32_t>(record->branchIdx.size());
         b.branchCount = static_cast<std::uint32_t>(branch_count);
         b.numLoads = num_loads;
         b.numStores = num_stores;
@@ -448,28 +462,64 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
             b.loadsAt[v] = loads_at[v];
         b.itlbWalks = itlb_walks;
         b.dtlbWalks = dtlb_walks;
-        record->fetchStall.insert(record->fetchStall.end(), fetch_stall,
-                                  fetch_stall + n);
-        record->memLatency.insert(record->memLatency.end(), mem_lat,
-                                  mem_lat + n);
-        record->l1Miss.insert(record->l1Miss.end(), l1_missed,
-                              l1_missed + n);
-        record->dram.insert(record->dram.end(), dram_code,
-                            dram_code + n);
-        record->memIdx.insert(record->memIdx.end(), mem_idx,
-                              mem_idx + mem_count);
-        record->branchIdx.insert(record->branchIdx.end(), branch_idx,
-                                 branch_idx + branch_count);
-        record->batches.push_back(b);
+
+        // Lane recording: the scratch lanes are now final (only the
+        // branch pass still writes, and only to mispred), so a clone-
+        // group sibling replaying the identical stream can import
+        // them plus the counter deltas instead of re-running the cache
+        // and TLB passes. One bulk append per lane.
+        if (record != nullptr) {
+            b.laneOffset =
+                static_cast<std::uint32_t>(record->fetchStall.size());
+            b.memOffset =
+                static_cast<std::uint32_t>(record->memIdx.size());
+            b.branchOffset =
+                static_cast<std::uint32_t>(record->branchIdx.size());
+            record->fetchStall.insert(record->fetchStall.end(),
+                                      fetch_stall, fetch_stall + n);
+            record->memLatency.insert(record->memLatency.end(), mem_lat,
+                                      mem_lat + n);
+            record->l1Miss.insert(record->l1Miss.end(), l1_missed,
+                                  l1_missed + n);
+            record->dram.insert(record->dram.end(), dram_code,
+                                dram_code + n);
+            record->memIdx.insert(record->memIdx.end(), mem_idx,
+                                  mem_idx + mem_count);
+            record->branchIdx.insert(record->branchIdx.end(),
+                                     branch_idx,
+                                     branch_idx + branch_count);
+            record->batches.push_back(b);
+        }
     }
+
+    // Per-op memory-side lanes the remaining passes read: the
+    // leader's recorded lanes when importing, else the scratch the
+    // cache and TLB passes just staged.
+    const unsigned *__restrict const fetch_stall = import != nullptr
+        ? import->fetchStall.data() + b.laneOffset
+        : fetchStall_.data();
+    const unsigned *__restrict const mem_lat = import != nullptr
+        ? import->memLatency.data() + b.laneOffset
+        : memLatency_.data();
+    const std::uint8_t *__restrict const l1_missed = import != nullptr
+        ? import->l1Miss.data() + b.laneOffset
+        : l1Miss_.data();
+    const std::uint8_t *__restrict const dram_code = import != nullptr
+        ? import->dram.data() + b.laneOffset
+        : dram_.data();
+    const std::uint32_t *__restrict const mem_idx = import != nullptr
+        ? import->memIdx.data() + b.memOffset
+        : memIdx_.data();
+    const std::uint32_t *__restrict const branch_idx = import != nullptr
+        ? import->branchIdx.data() + b.branchOffset
+        : branchIdx_.data();
 
     // Branch pass: walks the branch index list in op order, so the
     // predictor/BTB see the exact consume() sequence.
     std::fill(mispred, mispred + n, std::uint8_t{0});
-    const std::uint64_t num_branches = branch_count;
     std::uint64_t num_mispredicts = 0;
     std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
-    for (std::size_t j = 0; j < branch_count; ++j) {
+    for (std::size_t j = 0; j < b.branchCount; ++j) {
         const std::size_t i = branch_idx[j];
         const isa::BranchKind kind = kindv[i];
         SPEC17_ASSERT(kind != isa::BranchKind::None,
@@ -503,7 +553,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
             }
         }
         std::uint64_t last_data_page = ~std::uint64_t(0);
-        for (std::size_t j = 0; j < mem_count; ++j) {
+        for (std::size_t j = 0; j < b.memCount; ++j) {
             const std::size_t i = mem_idx[j];
             const std::uint64_t page =
                 addrs[i] / FootprintTracker::kPageBytes;
@@ -524,6 +574,8 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     core_.retireBatch(classes, dep_load, dep_prev, mem_lat, l1_missed,
                       fetch_stall, mispred, dram_code, n);
 
+    // Hierarchy stat credits for memo-skipped repeats; all zero on
+    // import, whose hierarchy holds no observable state.
     if (inst_repeat_hits != 0)
         hierarchy_.creditInstHits(inst_repeat_hits);
     if (data_repeat_hits != 0)
@@ -531,165 +583,11 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     if (way_pred && data_repeat_load_hits != 0)
         hierarchy_.creditDataWayPredictions(data_repeat_load_hits);
     if (tlb) {
-        counters_.add(PerfEvent::ItlbMissesWalk, itlb_walks);
-        counters_.add(PerfEvent::DtlbLoadMissesWalk, dtlb_walks);
-    }
-
-    // Counter flush.
-    counters_.add(PerfEvent::InstRetiredAny, n);
-    counters_.add(PerfEvent::UopsRetiredAll, n);
-    counters_.add(PerfEvent::MemUopsRetiredAllLoads, num_loads);
-    counters_.add(PerfEvent::MemUopsRetiredAllStores, num_stores);
-    const std::uint64_t l2 =
-        loads_at[static_cast<std::size_t>(HitLevel::L2)];
-    const std::uint64_t l3 =
-        loads_at[static_cast<std::size_t>(HitLevel::L3)];
-    const std::uint64_t mem =
-        loads_at[static_cast<std::size_t>(HitLevel::Memory)];
-    counters_.add(PerfEvent::MemLoadUopsRetiredL1Hit,
-                  loads_at[static_cast<std::size_t>(HitLevel::L1)]);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL1Miss, l2 + l3 + mem);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL2Hit, l2);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL2Miss, l3 + mem);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL3Hit, l3);
-    counters_.add(PerfEvent::MemLoadUopsRetiredL3Miss, mem);
-    counters_.add(PerfEvent::BrInstExecAllBranches, num_branches);
-    counters_.add(
-        PerfEvent::BrInstExecAllConditional,
-        kinds[static_cast<std::size_t>(isa::BranchKind::Conditional)]);
-    counters_.add(
-        PerfEvent::BrInstExecAllDirectJmp,
-        kinds[static_cast<std::size_t>(isa::BranchKind::DirectJump)]);
-    counters_.add(PerfEvent::BrInstExecAllDirectNearCall,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::DirectNearCall)]);
-    counters_.add(PerfEvent::BrInstExecAllIndirectJumpNonCallRet,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::IndirectJumpNonCallRet)]);
-    counters_.add(PerfEvent::BrInstExecAllIndirectNearReturn,
-                  kinds[static_cast<std::size_t>(
-                      isa::BranchKind::IndirectNearReturn)]);
-    counters_.add(PerfEvent::BrMispExecAllBranches, num_mispredicts);
-}
-
-void
-CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
-                                   std::size_t base, std::size_t n,
-                                   const MemoryLaneLog &log,
-                                   std::size_t &cursor)
-{
-    // The imported half of consumeBatch: the cache and TLB passes --
-    // deterministic functions of the op stream and the (identical)
-    // hierarchy/TLB configuration -- are replaced by the leader's
-    // recorded lanes and counter deltas, consumed in place. The
-    // branch, footprint and retire passes below are copied verbatim
-    // from consumeBatch, fed by the imported lanes, so this
-    // simulator's predictor state, footprint and core timing are
-    // exact. The hierarchy and TLBs are never touched.
-    SPEC17_ASSERT(cursor < log.batches.size(),
-                  "memory-lane log exhausted: the sibling's batch "
-                  "schedule diverged from its leader's");
-    const MemoryLaneLog::Batch &b = log.batches[cursor++];
-    SPEC17_ASSERT(b.n == n,
-                  "memory-lane batch size diverged from the log (have ",
-                  n, ", recorded ", b.n, ")");
-
-    const std::uint64_t *__restrict const pcs = lanes.pc.data() + base;
-    const std::uint64_t *__restrict const addrs =
-        lanes.addr.data() + base;
-    const std::uint64_t *__restrict const targets =
-        lanes.target.data() + base;
-    const isa::UopClass *__restrict const classes =
-        lanes.cls.data() + base;
-    const isa::BranchKind *__restrict const kindv =
-        lanes.kind.data() + base;
-    const std::uint8_t *__restrict const takenv =
-        lanes.taken.data() + base;
-    const std::uint8_t *__restrict const dep_load =
-        lanes.depOnLoad.data() + base;
-    const std::uint8_t *__restrict const dep_prev =
-        lanes.depOnPrev.data() + base;
-
-    const unsigned *__restrict const fetch_stall =
-        log.fetchStall.data() + b.laneOffset;
-    const unsigned *__restrict const mem_lat =
-        log.memLatency.data() + b.laneOffset;
-    const std::uint8_t *__restrict const l1_missed =
-        log.l1Miss.data() + b.laneOffset;
-    const std::uint8_t *__restrict const dram_code =
-        log.dram.data() + b.laneOffset;
-    const std::uint32_t *__restrict const mem_idx =
-        log.memIdx.data() + b.memOffset;
-    const std::uint32_t *__restrict const branch_idx =
-        log.branchIdx.data() + b.branchOffset;
-
-    if (mispredicted_.size() < n)
-        mispredicted_.resize(n);
-    std::uint8_t *__restrict const mispred = mispredicted_.data();
-
-    // Branch pass (verbatim from consumeBatch).
-    std::fill(mispred, mispred + n, std::uint8_t{0});
-    const std::uint64_t num_branches = b.branchCount;
-    std::uint64_t num_mispredicts = 0;
-    std::uint64_t kinds[isa::kNumBranchKinds + 1] = {};
-    for (std::size_t j = 0; j < b.branchCount; ++j) {
-        const std::size_t i = branch_idx[j];
-        const isa::BranchKind kind = kindv[i];
-        SPEC17_ASSERT(kind != isa::BranchKind::None,
-                      "branch with kind None reached simulator");
-        ++kinds[static_cast<std::size_t>(kind)];
-        if (branches_.execute(kind, pcs[i], takenv[i] != 0,
-                              targets[i])) {
-            mispred[i] = 1;
-            ++num_mispredicts;
-        }
-    }
-
-    // Footprint pass (verbatim from consumeBatch).
-    {
-        std::uint64_t *__restrict const pc_seen = pcPageSeen_.data();
-        std::uint64_t *__restrict const data_seen = dataPageSeen_.data();
-        std::uint64_t last_pc_page = ~std::uint64_t(0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t page =
-                pcs[i] / FootprintTracker::kPageBytes;
-            if (page == last_pc_page)
-                continue;
-            last_pc_page = page;
-            std::uint64_t &slot = pc_seen[page % kPcPageSeenSlots];
-            if (slot != page) {
-                slot = page;
-                footprint_.touch(pcs[i]);
-            }
-        }
-        std::uint64_t last_data_page = ~std::uint64_t(0);
-        for (std::size_t j = 0; j < b.memCount; ++j) {
-            const std::size_t i = mem_idx[j];
-            const std::uint64_t page =
-                addrs[i] / FootprintTracker::kPageBytes;
-            if (page == last_data_page)
-                continue;
-            last_data_page = page;
-            std::uint64_t &slot = data_seen[page % kDataPageSeenSlots];
-            if (slot != page) {
-                slot = page;
-                footprint_.touch(addrs[i]);
-            }
-        }
-    }
-
-    // Retire pass on the imported lanes.
-    core_.retireBatch(classes, dep_load, dep_prev, mem_lat, l1_missed,
-                      fetch_stall, mispred, dram_code, n);
-
-    // Counter flush: cache/TLB deltas from the log, branch counts
-    // from this simulator's own branch pass. The hierarchy stat
-    // credits consumeBatch performs are intentionally absent -- this
-    // simulator's hierarchy holds no observable state.
-    if (config_.enableTlb) {
         counters_.add(PerfEvent::ItlbMissesWalk, b.itlbWalks);
         counters_.add(PerfEvent::DtlbLoadMissesWalk, b.dtlbWalks);
     }
+
+    // Counter flush.
     counters_.add(PerfEvent::InstRetiredAny, n);
     counters_.add(PerfEvent::UopsRetiredAll, n);
     counters_.add(PerfEvent::MemUopsRetiredAllLoads, b.numLoads);
@@ -707,7 +605,7 @@ CpuSimulator::consumeBatchImported(const trace::MicroOpBatch &lanes,
     counters_.add(PerfEvent::MemLoadUopsRetiredL2Miss, l3 + mem);
     counters_.add(PerfEvent::MemLoadUopsRetiredL3Hit, l3);
     counters_.add(PerfEvent::MemLoadUopsRetiredL3Miss, mem);
-    counters_.add(PerfEvent::BrInstExecAllBranches, num_branches);
+    counters_.add(PerfEvent::BrInstExecAllBranches, b.branchCount);
     counters_.add(
         PerfEvent::BrInstExecAllConditional,
         kinds[static_cast<std::size_t>(isa::BranchKind::Conditional)]);
@@ -799,30 +697,15 @@ CpuSimulator::stepBatched(trace::TraceSource &source,
         // identical counts on either lane.
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(batchOps_, max_ops - consumed));
-        // Zero-copy first: a source with resident lanes (the replay
-        // arena) hands back a view and the passes consume it in
-        // place; everything else is staged through batch_ as before.
+        // A source with resident lanes (the replay arena) hands back a
+        // view the passes consume in place; everything else fills
+        // batch_.
         std::size_t at = 0;
         std::size_t got = 0;
-        if (const trace::MicroOpBatch *view =
-                source.nextLanes(want, at, got)) {
-            if (got != 0) {
-                if (import != nullptr)
-                    consumeBatchImported(*view, at, got, *import,
-                                         *cursor);
-                else
-                    consumeBatch(*view, at, got, record);
-            }
-        } else {
-            got = source.nextBatchSoA(batch_, 0, want);
-            if (got != 0) {
-                if (import != nullptr)
-                    consumeBatchImported(batch_, 0, got, *import,
-                                         *cursor);
-                else
-                    consumeBatch(batch_, 0, got, record);
-            }
-        }
+        const trace::MicroOpBatch &lanes =
+            source.nextLanes(batch_, want, at, got);
+        if (got != 0)
+            consumeBatch(lanes, at, got, record, import, cursor);
         consumed += got;
         if (got < want)
             break;

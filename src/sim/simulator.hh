@@ -157,7 +157,7 @@ class CpuSimulator
      * the multicore interleaver and phase analysis).
      *
      * Runs on the batched fast lane: ops are pulled through
-     * TraceSource::nextBatchSoA() in chunks of batchOps() and consumed
+     * TraceSource::nextLanes() in chunks of batchOps() and consumed
      * in tight per-component lane passes (see consumeBatch). Results
      * are byte-identical to stepUnbatched() at any batch size -- the
      * golden tests enforce it -- and internal batches never overrun
@@ -257,20 +257,17 @@ class CpuSimulator
     /** Batched equivalent of n consume() calls over lane slots
      *  [base, base+n) of @p lanes, restructured into per-component
      *  passes (see the implementation comment for the legality
-     *  argument). @p lanes is either the simulator's own batch_ (the
-     *  copying pull path) or a source-owned buffer served zero-copy
-     *  through TraceSource::nextLanes(). When @p record is set, the
-     *  post-TLB lanes and counter deltas are appended to it. */
+     *  argument). @p lanes is whatever TraceSource::nextLanes()
+     *  returned: the simulator's own batch_ or a source-owned buffer
+     *  served zero-copy. When @p record is set, the post-TLB lanes
+     *  and counter deltas are appended to it. When @p import is set
+     *  (clone-group siblings), the cache and TLB passes are skipped
+     *  and their lanes and counters are read from
+     *  import->batches[(*cursor)++] instead. */
     void consumeBatch(const trace::MicroOpBatch &lanes,
                       std::size_t base, std::size_t n,
-                      MemoryLaneLog *record = nullptr);
-    /** Lane-importing equivalent of consumeBatch for clone-group
-     *  siblings: branch + footprint + retire passes only, memory-side
-     *  lanes and counters read from log.batches[cursor++]. */
-    void consumeBatchImported(const trace::MicroOpBatch &lanes,
-                              std::size_t base, std::size_t n,
-                              const MemoryLaneLog &log,
-                              std::size_t &cursor);
+                      MemoryLaneLog *record,
+                      const MemoryLaneLog *import, std::size_t *cursor);
     /** Shared batched-lane pull loop behind step()/stepRecording()/
      *  stepImporting(): exactly one of record / (import, cursor) may
      *  be set. */

@@ -242,7 +242,7 @@ struct RunnerOptions
     /** @name Hot-path batching (see docs/performance.md) */
     /// @{
     /**
-     * Micro-ops per TraceSource::nextBatch() pull on the simulator's
+     * Micro-ops per TraceSource::nextLanes() pull on the simulator's
      * batched fast lane (0 = the simulator default). Purely an
      * execution-strategy knob: results, journals and telemetry are
      * byte-identical at any batch size, so it is deliberately NOT

@@ -195,18 +195,6 @@ ReplaySource::next(isa::MicroOp &op)
 }
 
 std::size_t
-ReplaySource::nextBatch(isa::MicroOp *out, std::size_t n)
-{
-    if (cancelled())
-        return 0;
-    const std::size_t m = std::min(n, arena_->numOps - cursor_);
-    for (std::size_t i = 0; i < m; ++i)
-        out[i] = arena_->lanes.get(cursor_ + i);
-    cursor_ += m;
-    return m;
-}
-
-std::size_t
 ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                            std::size_t n)
 {
@@ -236,20 +224,14 @@ ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
     return m;
 }
 
-const MicroOpBatch *
-ReplaySource::nextLanes(std::size_t n, std::size_t &at,
+const MicroOpBatch &
+ReplaySource::nextLanes(MicroOpBatch &, std::size_t n, std::size_t &at,
                         std::size_t &got)
 {
-    if (cancelled()) {
-        at = cursor_;
-        got = 0;
-        return &arena_->lanes;
-    }
-    const std::size_t m = std::min(n, arena_->numOps - cursor_);
     at = cursor_;
-    got = m;
-    cursor_ += m;
-    return &arena_->lanes;
+    got = cancelled() ? 0 : std::min(n, arena_->numOps - cursor_);
+    cursor_ += got;
+    return arena_->lanes;
 }
 
 } // namespace trace

@@ -81,9 +81,9 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
 
 /**
  * Replays a captured arena as a TraceSource. Satisfies the full
- * stream contract: next(), nextBatch(), nextBatchSoA() and the
- * zero-copy nextLanes() all deliver the identical op sequence, mixed
- * freely, and reset() rewinds exactly. Supports the same cooperative
+ * stream contract: next(), nextBatchSoA() and the zero-copy
+ * nextLanes() all deliver the identical op sequence, mixed freely,
+ * and reset() rewinds exactly. Supports the same cooperative
  * cancellation surface as SyntheticTraceGenerator so the suite
  * runner can swap one for the other without observable difference.
  *
@@ -96,10 +96,11 @@ class ReplaySource : public TraceSource
     explicit ReplaySource(std::shared_ptr<const TraceArena> arena);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
-    const MicroOpBatch *nextLanes(std::size_t n, std::size_t &at,
+    /** Serves the arena's own lanes; @p buf is never touched. */
+    const MicroOpBatch &nextLanes(MicroOpBatch &buf, std::size_t n,
+                                  std::size_t &at,
                                   std::size_t &got) override;
 
     bool

@@ -124,23 +124,6 @@ struct MicroOpBatch
         op.depOnPrev = depOnPrev[i] != 0;
         return op;
     }
-
-    /**
-     * AoS scratch buffer of at least @p n ops, owned by the batch.
-     * The base-class nextBatchSoA() adapter stages a nextBatch() pull
-     * here before scattering into the lanes, so sources that only
-     * override the AoS surface still amortize their per-call overhead.
-     */
-    isa::MicroOp *
-    scratch(std::size_t n)
-    {
-        if (aosScratch_.size() < n)
-            aosScratch_.resize(n);
-        return aosScratch_.data();
-    }
-
-  private:
-    std::vector<isa::MicroOp> aosScratch_;
 };
 
 } // namespace trace

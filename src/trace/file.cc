@@ -31,14 +31,18 @@ pack(const isa::MicroOp &op, unsigned char *out)
     std::memcpy(out + 20, &op.target, 8);
 }
 
-/** Unpacks a 28-byte record; panics on invalid enum bytes. */
+/** Unpacks a 28-byte record; fatal on a record the simulator cannot
+ *  consume (bad enum bytes, or a branch without a branch kind). */
 isa::MicroOp
 unpack(const unsigned char *in)
 {
-    SPEC17_ASSERT(in[0] < isa::kNumUopClasses,
-                  "corrupt trace record: bad uop class ", int(in[0]));
-    SPEC17_ASSERT(in[1] <= isa::kNumBranchKinds,
-                  "corrupt trace record: bad branch kind ", int(in[1]));
+    if (in[0] >= isa::kNumUopClasses)
+        SPEC17_FATAL("corrupt trace record: bad uop class ", int(in[0]));
+    if (in[1] > isa::kNumBranchKinds)
+        SPEC17_FATAL("corrupt trace record: bad branch kind ", int(in[1]));
+    if (static_cast<isa::UopClass>(in[0]) == isa::UopClass::Branch
+        && static_cast<isa::BranchKind>(in[1]) == isa::BranchKind::None)
+        SPEC17_FATAL("corrupt trace record: branch with kind None");
     isa::MicroOp op;
     op.cls = static_cast<isa::UopClass>(in[0]);
     op.branch = static_cast<isa::BranchKind>(in[1]);
@@ -100,6 +104,17 @@ FileTrace::FileTrace(const std::string &path) : path_(path)
     if (version != kVersion)
         SPEC17_FATAL("trace file version ", version,
                      " unsupported (want ", kVersion, "): ", path);
+    // The record count comes from an untrusted header: check it
+    // against the file size by division (a multiplication could
+    // overflow) so a short or padded file fails here, not mid-run.
+    in_.seekg(0, std::ios::end);
+    const std::uint64_t body =
+        static_cast<std::uint64_t>(in_.tellg()) - kHeaderBytes;
+    if (!in_ || body % kRecordBytes != 0 || count_ != body / kRecordBytes)
+        SPEC17_FATAL("trace file truncated or corrupt: header says ",
+                     count_, " records, file holds ", body / kRecordBytes,
+                     " (+", body % kRecordBytes, " bytes): ", path);
+    in_.seekg(kHeaderBytes);
     buffer_.reserve(kBufferRecords);
 }
 
@@ -116,8 +131,8 @@ FileTrace::refill()
     std::vector<unsigned char> raw(want * kRecordBytes);
     in_.read(reinterpret_cast<char *>(raw.data()),
              static_cast<std::streamsize>(raw.size()));
-    SPEC17_ASSERT(static_cast<std::size_t>(in_.gcount()) == raw.size(),
-                  "trace file truncated: ", path_);
+    if (static_cast<std::size_t>(in_.gcount()) != raw.size())
+        SPEC17_FATAL("trace file truncated while reading: ", path_);
     for (std::size_t i = 0; i < want; ++i)
         buffer_.push_back(unpack(raw.data() + i * kRecordBytes));
 }
@@ -135,33 +150,12 @@ FileTrace::next(isa::MicroOp &op)
 }
 
 std::size_t
-FileTrace::nextBatch(isa::MicroOp *out, std::size_t n)
-{
-    // Bulk copies out of the decode buffer instead of a bounds check
-    // and virtual call per record.
-    std::size_t filled = 0;
-    while (filled < n && delivered_ < count_) {
-        if (bufferPos_ >= buffer_.size())
-            refill();
-        const std::size_t avail = buffer_.size() - bufferPos_;
-        const std::size_t take = std::min(n - filled, avail);
-        std::copy_n(buffer_.begin()
-                        + static_cast<std::ptrdiff_t>(bufferPos_),
-                    take, out + filled);
-        bufferPos_ += take;
-        delivered_ += take;
-        filled += take;
-    }
-    return filled;
-}
-
-std::size_t
 FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
 {
     // Drains whatever the decode buffer still holds (records already
-    // unpacked for the AoS surfaces), then scatters the rest of the
-    // pull straight from raw file records into the lanes, skipping
-    // the intermediate MicroOp buffer entirely.
+    // unpacked for next()), then scatters the rest of the pull
+    // straight from raw file records into the lanes, skipping the
+    // intermediate MicroOp buffer entirely.
     out.ensure(at + n);
     std::size_t filled = 0;
     while (filled < n && bufferPos_ < buffer_.size()) {
@@ -178,9 +172,8 @@ FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
         rawScratch_.resize(want * kRecordBytes);
         in_.read(reinterpret_cast<char *>(rawScratch_.data()),
                  static_cast<std::streamsize>(rawScratch_.size()));
-        SPEC17_ASSERT(
-            static_cast<std::size_t>(in_.gcount()) == rawScratch_.size(),
-            "trace file truncated: ", path_);
+        if (static_cast<std::size_t>(in_.gcount()) != rawScratch_.size())
+            SPEC17_FATAL("trace file truncated while reading: ", path_);
         for (std::size_t i = 0; i < want; ++i)
             out.set(at + filled + i,
                     unpack(rawScratch_.data() + i * kRecordBytes));

@@ -16,15 +16,17 @@ namespace spec17 {
 namespace trace {
 
 /**
- * A finite stream of micro-ops. Sources are pull-based: the simulator
- * calls next() until it returns false, or pulls whole chunks through
- * nextBatch() (the simulator's batched fast lane -- see
- * docs/performance.md).
+ * A finite stream of micro-ops. Sources are pull-based: the per-op
+ * reference lane calls next() until it returns false; the simulator's
+ * batched lane pulls whole chunks of SoA lanes through nextLanes()
+ * (see docs/performance.md), which by default fills them through
+ * nextBatchSoA().
  *
- * The two surfaces describe one stream: pulling N ops one at a time
- * through next() and pulling them through nextBatch() in chunks of
- * any size must yield the identical op sequence, and the two may be
- * mixed freely at any point of the stream.
+ * The three surfaces describe one stream: pulling N ops one at a
+ * time through next() and pulling them through nextBatchSoA() or
+ * nextLanes() in chunks of any size must yield the identical op
+ * sequence, and the surfaces may be mixed freely at any point of the
+ * stream.
  *
  * reset() rewinds to the first micro-op and must reproduce the
  * identical stream (the framework's determinism guarantee hinges on
@@ -47,7 +49,9 @@ class TraceSource
     virtual bool next(isa::MicroOp &op) = 0;
 
     /**
-     * Produces up to @p n micro-ops into @p out.
+     * Produces up to @p n micro-ops into the SoA lanes of @p out,
+     * starting at lane slot @p at. Writers fill every lane of every
+     * delivered op (see MicroOpBatch).
      *
      * Semantically equivalent to calling next() @p n times: the ops
      * delivered and the post-call source state are identical. A short
@@ -56,35 +60,10 @@ class TraceSource
      * exactly where next() would have returned false; subsequent
      * calls return 0 until reset().
      *
-     * The default implementation loops next(); sources with per-call
-     * overhead worth amortizing (RNG setup, phase-boundary checks,
-     * buffered file reads) override it.
-     *
-     * @return number of micro-ops written to @p out (<= @p n).
-     */
-    virtual std::size_t
-    nextBatch(isa::MicroOp *out, std::size_t n)
-    {
-        std::size_t filled = 0;
-        while (filled < n && next(out[filled]))
-            ++filled;
-        return filled;
-    }
-
-    /**
-     * Produces up to @p n micro-ops into the SoA lanes of @p out,
-     * starting at lane slot @p at -- the batched fast lane's native
-     * surface (the simulator consumes lanes, never AoS structs).
-     *
-     * Same stream contract as nextBatch(): op for op identical to
-     * @p n next() pulls, mixable freely with the other two surfaces,
-     * same short-return semantics. Writers fill every lane of every
-     * delivered op (see MicroOpBatch).
-     *
-     * The default adapter stages a nextBatch() pull in the batch's
-     * AoS scratch and scatters it, so existing sources keep their
-     * amortized batched path; sources on the hot path override this
-     * to fill lanes directly.
+     * The default implementation loops next(); sources on the hot
+     * path override it to fill lanes directly and amortize their
+     * per-call overhead (RNG setup, phase-boundary checks, buffered
+     * file reads).
      *
      * @return number of micro-ops written (<= @p n); lanes are sized
      *         to at least @p at + @p n on entry.
@@ -93,37 +72,37 @@ class TraceSource
     nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
     {
         out.ensure(at + n);
-        isa::MicroOp *buf = out.scratch(n);
-        const std::size_t got = nextBatch(buf, n);
-        for (std::size_t i = 0; i < got; ++i)
-            out.set(at + i, buf[i]);
-        return got;
+        isa::MicroOp op;
+        std::size_t filled = 0;
+        while (filled < n && next(op))
+            out.set(at + filled++, op);
+        return filled;
     }
 
     /**
-     * Zero-copy variant of nextBatchSoA(): instead of copying lanes
-     * into a caller-owned batch, returns a pointer to a lane buffer
-     * the SOURCE owns, with @p at set to the slot of the first
-     * delivered op and @p got to the number delivered (<= @p n). The
-     * stream contract is unchanged -- the delivered ops and the
-     * post-call state are exactly those of a nextBatchSoA() pull of
-     * @p n ops, and a short @p got has the same end-of-stream /
+     * The batched lane's pull: delivers up to @p n micro-ops and
+     * returns the lanes holding them, with @p at set to the slot of
+     * the first delivered op and @p got to the number delivered
+     * (<= @p n). The stream contract is that of nextBatchSoA(): the
+     * delivered ops and the post-call state are exactly those of an
+     * @p n-op pull, and a short @p got has the same end-of-stream /
      * cancellation meaning.
      *
-     * The returned lanes stay valid until the source is mutated or
-     * destroyed; callers must not write through them. Sources without
-     * a resident lane representation return nullptr (the default, and
-     * then @p at / @p got are untouched); callers fall back to
-     * nextBatchSoA(). The replay arena (trace/arena.hh) overrides
-     * this to serve captured lanes without a copy.
+     * The default fills the caller's @p buf from slot 0 through
+     * nextBatchSoA() and returns it. A source with a resident lane
+     * representation -- the replay arena (trace/arena.hh) -- instead
+     * returns its own lanes without a copy and leaves @p buf alone.
+     * Either way the returned lanes stay valid until the source or
+     * @p buf is mutated or destroyed; callers must not write through
+     * them.
      */
-    virtual const MicroOpBatch *
-    nextLanes(std::size_t n, std::size_t &at, std::size_t &got)
+    virtual const MicroOpBatch &
+    nextLanes(MicroOpBatch &buf, std::size_t n, std::size_t &at,
+              std::size_t &got)
     {
-        (void)n;
-        (void)at;
-        (void)got;
-        return nullptr;
+        at = 0;
+        got = nextBatchSoA(buf, 0, n);
+        return buf;
     }
 
     /**

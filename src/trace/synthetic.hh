@@ -155,7 +155,6 @@ class SyntheticTraceGenerator : public TraceSource
     explicit SyntheticTraceGenerator(SyntheticTraceParams params);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatch(isa::MicroOp *out, std::size_t n) override;
     std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
                              std::size_t n) override;
     void reset() override;
@@ -234,7 +233,7 @@ class SyntheticTraceGenerator : public TraceSource
      */
     template <typename Writer>
     void emitOpTo(Writer &&w, const EmitConsts &k);
-    /** AoS form of emitOpTo (next()/nextBatch() surfaces). */
+    /** AoS form of emitOpTo (the next() surface). */
     void emitOp(isa::MicroOp &op, const EmitConsts &k);
     std::uint64_t pickAddress(std::size_t region_index, bool &dep_on_load);
     std::uint64_t pickBranchTarget();

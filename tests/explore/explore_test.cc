@@ -297,6 +297,11 @@ TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
     const auto baseline = ExploreRunner(per_point).runCross(axes);
     ASSERT_EQ(baseline.size(), 12u);
 
+    // The per-op reference lane scores the same table.
+    ExploreOptions reference = tinyOptions();
+    reference.runner.unbatchedStepping = true;
+    expectSameTable(baseline, ExploreRunner(reference).runCross(axes));
+
     // The shared-arena fan-out engine must score the bit-identical
     // table, at any job count: one capture per pair feeding all 12
     // points is an execution strategy, never semantics.

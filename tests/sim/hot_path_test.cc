@@ -5,7 +5,9 @@
  * -- every perf counter, cache stat, core cycle count and footprint
  * byte -- at any batch size, under every configuration that exercises
  * a memo-legality edge (TLB walks, prefetchers, random replacement,
- * dirty-line stores), and when the two lanes are mixed mid-run.
+ * dirty-line stores), and when the two lanes are mixed mid-run. The
+ * lane-importing clone-group sibling is pinned to the reference lane
+ * too.
  */
 
 #include "sim/simulator.hh"
@@ -16,6 +18,7 @@
 #include <functional>
 
 #include "counters/perf_event.hh"
+#include "trace/arena.hh"
 #include "trace/kernels.hh"
 #include "trace/synthetic.hh"
 
@@ -284,6 +287,80 @@ TEST(HotPath, PrefillInvalidatesTheLineMemos)
         reference.prefillData(0x100000, 64 * 1024, HitLevel::L1);
     }
     expectSimsIdentical(batched, reference);
+}
+
+/** Every perf counter and the core cycle count agree exactly. */
+::testing::AssertionResult
+sameCountersAndCycles(const CpuSimulator &a, const CpuSimulator &b)
+{
+    const counters::CounterSet x = a.snapshot();
+    const counters::CounterSet y = b.snapshot();
+    for (std::size_t i = 0; i < counters::kNumPerfEvents; ++i) {
+        const auto event = static_cast<PerfEvent>(i);
+        if (x.get(event) != y.get(event))
+            return ::testing::AssertionFailure()
+                << counters::perfEventName(event) << ": " << x.get(event)
+                << " vs " << y.get(event);
+    }
+    if (a.core().cycles() != b.core().cycles())
+        return ::testing::AssertionFailure()
+            << "cycles: " << a.core().cycles() << " vs "
+            << b.core().cycles();
+    return ::testing::AssertionSuccess();
+}
+
+TEST(HotPath, ImportingSiblingMatchesReferenceLane)
+{
+    // The fan-out clone group, reduced to its parts: a bimodal leader
+    // records its memory-side lanes chunk by chunk, and a TAGE sibling
+    // with the same hierarchy imports them instead of running its own
+    // cache and TLB passes. The sibling must match a TAGE simulator
+    // on the per-op reference lane after every chunk, at chunk sizes
+    // that split batches every way (1 op, just under and over one
+    // 256-op batch, many batches).
+    const trace::SyntheticTraceParams params = mixedParams(40000);
+    const auto arena =
+        std::make_shared<const trace::TraceArena>(
+            trace::captureArena(params));
+    SystemConfig leader_config = machine();
+    leader_config.branchPredictor = "bimodal";
+    SystemConfig sibling_config = machine();
+    sibling_config.branchPredictor = "tage";
+
+    for (const std::uint64_t chunk :
+         {std::uint64_t{1}, std::uint64_t{255}, std::uint64_t{257},
+          std::uint64_t{10000}}) {
+        SCOPED_TRACE(::testing::Message() << "chunk=" << chunk);
+        CpuSimulator leader(leader_config, 42);
+        leader.prefillData(0x100000, 256 * 1024, HitLevel::L2);
+        CpuSimulator sibling(sibling_config, 42);
+        sibling.copyPrefillFrom(leader);
+        CpuSimulator reference(sibling_config, 42);
+        reference.prefillData(0x100000, 256 * 1024, HitLevel::L2);
+
+        trace::ReplaySource leader_ops(arena);
+        trace::ReplaySource sibling_ops(arena);
+        trace::ReplaySource reference_ops(arena);
+        MemoryLaneLog log;
+        std::uint64_t consumed = 0;
+        while (true) {
+            log.clear();
+            const std::uint64_t led =
+                leader.stepRecording(leader_ops, chunk, log);
+            std::size_t cursor = 0;
+            const std::uint64_t got =
+                sibling.stepImporting(sibling_ops, chunk, log, cursor);
+            ASSERT_EQ(got, led);
+            ASSERT_EQ(cursor, log.batches.size());
+            ASSERT_EQ(reference.stepUnbatched(reference_ops, chunk), got);
+            consumed += got;
+            ASSERT_TRUE(sameCountersAndCycles(sibling, reference))
+                << "after " << consumed << " ops";
+            if (got < chunk)
+                break;
+        }
+        EXPECT_EQ(consumed, params.numOps);
+    }
 }
 
 TEST(HotPath, BatchSizeValidationAndDefaults)

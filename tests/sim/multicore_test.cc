@@ -3,7 +3,8 @@
  * Shared-L3 multicore semantics added for the co-run engine:
  * per-context attribution (hits, misses, inflicted/suffered
  * evictions, occupancy), CAT-style way partitions, the per-context
- * runEach() view, warmup exclusion, and determinism of all of it.
+ * runEach() view, warmup exclusion, and determinism of all of it --
+ * plus the per-op reference lane as the co-run oracle.
  */
 
 #include "sim/multicore.hh"
@@ -137,6 +138,67 @@ TEST(MulticoreCorun, WayPartitionConfinesOccupancy)
     // With disjoint masks no context can victimize the other.
     EXPECT_EQ(l3.contextStats(0).evictionsSuffered, 0u);
     EXPECT_EQ(l3.contextStats(1).evictionsSuffered, 0u);
+}
+
+TEST(MulticoreCorun, ReferenceLaneMatchesBatchedLane)
+{
+    // The co-run oracle: every core on the per-op reference lane must
+    // reproduce the batched lane exactly -- per-core counters and
+    // cycles, and the shared L3's per-context books -- at chunk sizes
+    // that interleave the cores per op, mid-batch and across many
+    // batches, with and without a CAT way split.
+    const std::vector<std::vector<std::uint32_t>> partitions = {
+        {}, {0x03, 0xfc}};
+    for (const auto &masks : partitions) {
+        for (const std::uint64_t chunk :
+             {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{255},
+              std::uint64_t{257}, std::uint64_t{10000}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "chunk=" << chunk
+                         << " partitioned=" << !masks.empty());
+            MulticoreSimulator batched(smallL3Machine(), 2, 7);
+            MulticoreSimulator reference(smallL3Machine(), 2, 7);
+            for (unsigned c = 0; c < 2; ++c)
+                reference.mutableCore(c).setUnbatchedStepping(true);
+            if (!masks.empty()) {
+                batched.setWayPartition(masks);
+                reference.setWayPartition(masks);
+            }
+            const auto a =
+                batched.runEach(makeSources(2, 20000), chunk, 3000);
+            const auto b =
+                reference.runEach(makeSources(2, 20000), chunk, 3000);
+            ASSERT_EQ(a.size(), 2u);
+            ASSERT_EQ(b.size(), 2u);
+            for (unsigned c = 0; c < 2; ++c) {
+                EXPECT_EQ(a[c].cycles, b[c].cycles) << "core " << c;
+                for (std::size_t e = 0; e < counters::kNumPerfEvents;
+                     ++e) {
+                    const auto event = static_cast<PerfEvent>(e);
+                    EXPECT_EQ(a[c].counters.get(event),
+                              b[c].counters.get(event))
+                        << "core " << c << " " << perfEventName(event);
+                }
+                const CacheContextStats &x =
+                    batched.sharedL3().contextStats(c);
+                const CacheContextStats &y =
+                    reference.sharedL3().contextStats(c);
+                EXPECT_EQ(x.hits, y.hits) << "context " << c;
+                EXPECT_EQ(x.misses, y.misses) << "context " << c;
+                EXPECT_EQ(x.evictions, y.evictions) << "context " << c;
+                EXPECT_EQ(x.writebacks, y.writebacks) << "context " << c;
+                EXPECT_EQ(x.evictionsInflicted, y.evictionsInflicted)
+                    << "context " << c;
+                EXPECT_EQ(x.evictionsSuffered, y.evictionsSuffered)
+                    << "context " << c;
+                EXPECT_EQ(batched.sharedL3().contextOccupancy(c),
+                          reference.sharedL3().contextOccupancy(c))
+                    << "context " << c;
+            }
+            if (::testing::Test::HasFailure())
+                return; // one diverging configuration is enough
+        }
+    }
 }
 
 TEST(MulticoreCorun, PartitionChangesResults)

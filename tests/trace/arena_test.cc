@@ -2,8 +2,8 @@
  * @file
  * Trace-arena golden tests: a captured arena replayed through
  * ReplaySource must be draw-for-draw identical to live generation on
- * every delivery surface (next(), nextBatch(), nextBatchSoA(), the
- * zero-copy nextLanes()), mixed freely and across reset(); the S17A
+ * every delivery surface (next(), nextBatchSoA(), the zero-copy
+ * nextLanes()), mixed freely and across reset(); the S17A
  * spill format must round-trip an arena exactly and reject torn or
  * foreign files by returning nullptr (never aborting a run).
  */
@@ -50,15 +50,17 @@ drainPerOp(TraceSource &source)
     return ops;
 }
 
+/** Drains through nextBatchSoA at a nonzero lane offset. */
 std::vector<isa::MicroOp>
 drainBatched(TraceSource &source, std::size_t batch)
 {
+    constexpr std::size_t kAt = 3;
     std::vector<isa::MicroOp> ops;
-    std::vector<isa::MicroOp> buf(batch);
+    MicroOpBatch buf;
     while (true) {
-        const std::size_t got = source.nextBatch(buf.data(), batch);
-        ops.insert(ops.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(got));
+        const std::size_t got = source.nextBatchSoA(buf, kAt, batch);
+        for (std::size_t i = 0; i < got; ++i)
+            ops.push_back(buf.get(kAt + i));
         if (got < batch)
             return ops;
     }
@@ -135,19 +137,17 @@ TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
     isa::MicroOp op;
     for (int i = 0; i < 13 && replay.next(op); ++i)
         mixed.push_back(op);
-    std::vector<isa::MicroOp> buf(777);
-    std::size_t got = replay.nextBatch(buf.data(), buf.size());
-    mixed.insert(mixed.end(), buf.begin(),
-                 buf.begin() + static_cast<std::ptrdiff_t>(got));
     MicroOpBatch lanes;
+    std::size_t got = replay.nextBatchSoA(lanes, 0, 777);
+    for (std::size_t i = 0; i < got; ++i)
+        mixed.push_back(lanes.get(i));
     got = replay.nextBatchSoA(lanes, 0, 500);
     for (std::size_t i = 0; i < got; ++i)
         mixed.push_back(lanes.get(i));
     std::size_t at = 0;
-    const MicroOpBatch *zero = replay.nextLanes(1000, at, got);
-    ASSERT_NE(zero, nullptr);
+    const MicroOpBatch &zero = replay.nextLanes(lanes, 1000, at, got);
     for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(zero->get(at + i));
+        mixed.push_back(zero.get(at + i));
     while (replay.next(op))
         mixed.push_back(op);
     expectSameStream(reference, mixed);
@@ -164,28 +164,31 @@ TEST(Arena, NextLanesIsZeroCopyIntoTheArena)
     const auto arena = capture(p);
     ReplaySource replay(arena);
 
+    MicroOpBatch buf;
     std::size_t at = 0, got = 0;
-    const MicroOpBatch *lanes = replay.nextLanes(1024, at, got);
-    ASSERT_NE(lanes, nullptr);
+    const MicroOpBatch *lanes = &replay.nextLanes(buf, 1024, at, got);
     // Pointer identity: the source serves the arena's own lanes, not
-    // a copy, and successive pulls advance the slot offset.
+    // a copy (the caller's buffer stays untouched), and successive
+    // pulls advance the slot offset.
     EXPECT_EQ(lanes, &arena->lanes);
+    EXPECT_EQ(buf.capacity(), 0u);
     EXPECT_EQ(at, 0u);
     EXPECT_EQ(got, 1024u);
-    lanes = replay.nextLanes(1024, at, got);
+    lanes = &replay.nextLanes(buf, 1024, at, got);
     EXPECT_EQ(lanes, &arena->lanes);
     EXPECT_EQ(at, 1024u);
 
     // The tail pull is short, then the stream reports exhaustion.
     std::size_t drained = 2048;
     while (true) {
-        lanes = replay.nextLanes(1024, at, got);
+        lanes = &replay.nextLanes(buf, 1024, at, got);
         ASSERT_EQ(lanes, &arena->lanes);
         drained += got;
         if (got < 1024)
             break;
     }
     EXPECT_EQ(drained, arena->numOps);
+    EXPECT_EQ(buf.capacity(), 0u);
 }
 
 TEST(Arena, SpillRoundTripsExactly)

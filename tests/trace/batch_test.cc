@@ -1,9 +1,10 @@
 /**
  * @file
- * Batched trace delivery: TraceSource::nextBatch() must describe the
- * same stream as next() -- op for op, at any batch size, across phase
- * boundaries, through the default fallback, and mixed freely with
- * per-op pulls -- and reset() after a partially consumed batch must
+ * Batched trace delivery: TraceSource::nextLanes() and nextBatchSoA()
+ * must describe the same stream as next() -- op for op, at any batch
+ * size, across phase boundaries, through the default next() loop, and
+ * mixed freely with per-op pulls -- and reset() after a partially
+ * consumed batch must
  * replay the identical stream from the top (the contract retry-with-
  * seed-perturbation and record/replay depend on).
  */
@@ -51,18 +52,28 @@ drainPerOp(TraceSource &source)
     return ops;
 }
 
+/** Appends the next (up to) @p n ops pulled through nextLanes(). */
+std::size_t
+pullLanes(TraceSource &source, MicroOpBatch &buf, std::size_t n,
+          std::vector<isa::MicroOp> &ops)
+{
+    std::size_t at = 0;
+    std::size_t got = 0;
+    const MicroOpBatch &lanes = source.nextLanes(buf, n, at, got);
+    for (std::size_t i = 0; i < got; ++i)
+        ops.push_back(lanes.get(at + i));
+    return got;
+}
+
+/** Drains through nextLanes(), the simulator's batched pull. */
 std::vector<isa::MicroOp>
 drainBatched(TraceSource &source, std::size_t batch)
 {
     std::vector<isa::MicroOp> ops;
-    std::vector<isa::MicroOp> buf(batch);
-    while (true) {
-        const std::size_t got = source.nextBatch(buf.data(), batch);
-        ops.insert(ops.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(got));
-        if (got < batch)
-            return ops;
+    MicroOpBatch buf;
+    while (pullLanes(source, buf, batch, ops) == batch) {
     }
+    return ops;
 }
 
 void
@@ -123,8 +134,8 @@ TEST(TraceBatch, PhasedBatchMatchesPerOpAcrossPhaseBoundaries)
 
 TEST(TraceBatch, DefaultFallbackMatchesPerOp)
 {
-    // Kernels don't override nextBatch; the base-class loop must
-    // deliver the same stream.
+    // Kernels override neither batched surface; the base-class
+    // next() loop behind nextLanes() must deliver the same stream.
     MatrixWalkKernel per_op(64, 96, /*row_major=*/false, 3);
     const auto golden = drainPerOp(per_op);
 
@@ -160,17 +171,20 @@ TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
     SyntheticTraceGenerator mixed(params());
     std::vector<isa::MicroOp> ops;
     isa::MicroOp op;
-    std::vector<isa::MicroOp> buf(64);
+    MicroOpBatch buf;
     while (true) {
         if (ops.size() % 3 == 0) {
             if (!mixed.next(op))
                 break;
             ops.push_back(op);
+        } else if (ops.size() % 3 == 1) {
+            if (pullLanes(mixed, buf, 17, ops) < 17)
+                break;
         } else {
-            const std::size_t got = mixed.nextBatch(buf.data(), 17);
-            ops.insert(ops.end(), buf.begin(),
-                       buf.begin() + static_cast<std::ptrdiff_t>(got));
-            if (got < 17)
+            const std::size_t got = mixed.nextBatchSoA(buf, 0, 5);
+            for (std::size_t i = 0; i < got; ++i)
+                ops.push_back(buf.get(i));
+            if (got < 5)
                 break;
         }
     }
@@ -195,8 +209,8 @@ TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
 
         // Consume a partial batch (an odd count, mid-stream), then
         // rewind and replay in full.
-        std::vector<isa::MicroOp> buf(37);
-        ASSERT_EQ(source.nextBatch(buf.data(), 37), 37u);
+        MicroOpBatch buf;
+        ASSERT_EQ(source.nextBatchSoA(buf, 0, 37), 37u);
         source.reset();
         expectSameStream(drainBatched(source, 64), golden);
     };
@@ -239,7 +253,7 @@ drainSoA(TraceSource &source, std::size_t batch)
 TEST(TraceBatch, SoaLanesDescribeTheSameStream)
 {
     // Every SoA writer (synthetic native, phased stitching, file
-    // unpack, and the base-class AoS-scratch adapter) must fill every
+    // unpack, and the base-class next() loop) must fill every
     // lane with exactly the fields a next() pull would deliver.
     {
         SyntheticTraceGenerator per_op(params());
@@ -283,8 +297,8 @@ TEST(TraceBatch, SoaLanesDescribeTheSameStream)
         std::remove(path.c_str());
     }
     {
-        // Kernels don't override nextBatchSoA: the default adapter
-        // (AoS scratch + scatter) must match too.
+        // Kernels don't override nextBatchSoA: the default next()
+        // loop must match too.
         MatrixWalkKernel per_op(64, 96, /*row_major=*/false, 3);
         const auto golden = drainPerOp(per_op);
         MatrixWalkKernel adapted(64, 96, /*row_major=*/false, 3);
@@ -333,13 +347,14 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
 
     // One 64-op batch to 64, then a 64-op batch covering ops 64..127
     // -- the second one crosses the boundary at op 100.
-    PhasedTrace aos = make();
-    std::vector<isa::MicroOp> buf(64);
-    ASSERT_EQ(aos.nextBatch(buf.data(), 64), 64u);
-    ASSERT_EQ(aos.currentPhase(), 0u);
-    std::vector<isa::MicroOp> straddle(64);
-    ASSERT_EQ(aos.nextBatch(straddle.data(), 64), 64u);
-    EXPECT_EQ(aos.currentPhase(), 1u);
+    PhasedTrace pulled = make();
+    MicroOpBatch buf;
+    std::vector<isa::MicroOp> head;
+    ASSERT_EQ(pullLanes(pulled, buf, 64, head), 64u);
+    ASSERT_EQ(pulled.currentPhase(), 0u);
+    std::vector<isa::MicroOp> straddle;
+    ASSERT_EQ(pullLanes(pulled, buf, 64, straddle), 64u);
+    EXPECT_EQ(pulled.currentPhase(), 1u);
     for (std::size_t i = 0; i < 64; ++i) {
         EXPECT_EQ(straddle[i].pc, golden[64 + i].pc) << "op " << i;
         EXPECT_EQ(straddle[i].cls, golden[64 + i].cls) << "op " << i;
@@ -362,16 +377,16 @@ TEST(TraceBatch, CancellationStopsABatchAtTheFlag)
     SyntheticTraceGenerator gen(params());
     gen.setCancelFlag(&cancelled);
 
-    std::vector<isa::MicroOp> buf(64);
-    ASSERT_EQ(gen.nextBatch(buf.data(), 64), 64u);
+    MicroOpBatch buf;
+    ASSERT_EQ(gen.nextBatchSoA(buf, 0, 64), 64u);
     cancelled = true;
-    EXPECT_EQ(gen.nextBatch(buf.data(), 64), 0u);
+    EXPECT_EQ(gen.nextBatchSoA(buf, 0, 64), 0u);
     EXPECT_EQ(gen.emittedOps(), 64u);
 
     // Clearing the flag resumes exactly where the stream stopped,
     // like next() does.
     cancelled = false;
-    EXPECT_EQ(gen.nextBatch(buf.data(), 64), 64u);
+    EXPECT_EQ(gen.nextBatchSoA(buf, 0, 64), 64u);
     EXPECT_EQ(gen.emittedOps(), 128u);
 }
 
@@ -424,9 +439,10 @@ TEST(TraceBatch, PhasedDoesNotDropACancelledPhaseRemainder)
     };
 
     check([](PhasedTrace &source, std::size_t n) {
-        std::vector<isa::MicroOp> buf(n);
-        buf.resize(source.nextBatch(buf.data(), n));
-        return buf;
+        MicroOpBatch buf;
+        std::vector<isa::MicroOp> ops;
+        pullLanes(source, buf, n, ops);
+        return ops;
     });
     check([](PhasedTrace &source, std::size_t n) {
         MicroOpBatch lanes;

@@ -124,14 +124,60 @@ TEST(TraceFileDeathTest, TruncationIsDetected)
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
     }
-    FileTrace replay(path);
+    // The header's record count no longer matches the file size, so
+    // opening it is a contained user error, not a mid-run abort.
+    EXPECT_EXIT(FileTrace{path}, ::testing::ExitedWithCode(1),
+                "truncated");
+    std::remove(path.c_str());
+}
+
+/** Emits one fixed op, @p count times. */
+class RepeatOp : public TraceSource
+{
+  public:
+    RepeatOp(const isa::MicroOp &op, std::uint64_t count)
+        : op_(op), count_(count)
+    {
+    }
+
+    bool
+    next(isa::MicroOp &op) override
+    {
+        if (emitted_ >= count_)
+            return false;
+        op = op_;
+        ++emitted_;
+        return true;
+    }
+
+    void reset() override { emitted_ = 0; }
+
+  private:
+    isa::MicroOp op_;
+    std::uint64_t count_;
+    std::uint64_t emitted_ = 0;
+};
+
+TEST(TraceFileDeathTest, BranchWithoutKindExitsContained)
+{
+    // A well-formed record the simulator cannot consume: a branch
+    // whose kind is None. Replaying it must fail as a user error
+    // (exit 1) at decode, not panic inside the simulator.
     isa::MicroOp op;
-    EXPECT_DEATH(
+    op.cls = isa::UopClass::Branch;
+    op.branch = isa::BranchKind::None;
+    op.pc = 0x400000;
+    RepeatOp source(op, 10);
+    const std::string path = tempTrace("branch_none");
+    ASSERT_EQ(writeTrace(path, source), 10u);
+    EXPECT_EXIT(
         {
-            while (replay.next(op)) {
-            }
+            FileTrace replay(path);
+            sim::CpuSimulator sim(
+                sim::SystemConfig::haswellXeonE52650Lv3());
+            sim.run(replay);
         },
-        "truncated");
+        ::testing::ExitedWithCode(1), "kind None");
     std::remove(path.c_str());
 }
 
