@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "suite/journal.hh"
 #include "util/logging.hh"
 
 namespace spec17 {
@@ -141,17 +140,6 @@ planGroups(const std::vector<WorkloadProfile> &suite,
                     groups.push_back(std::move(quartet));
                 }
     return groups;
-}
-
-std::string
-groupSetDigest(const std::vector<CorunGroup> &groups)
-{
-    std::uint64_t h = suite::fnv1a("corun");
-    for (const CorunGroup &group : groups) {
-        h = suite::fnv1a("|", h);
-        h = suite::fnv1a(group.name(), h);
-    }
-    return suite::hex16(h);
 }
 
 } // namespace corun

@@ -102,13 +102,6 @@ std::vector<CorunGroup> planGroups(
     const std::vector<workloads::WorkloadProfile> &suite,
     const PlanOptions &options);
 
-/**
- * 16-hex-digit digest of the canonical group enumeration (every
- * group name, pre-shard) -- the co-run journal's analogue of the
- * suite's pair-set digest.
- */
-std::string groupSetDigest(const std::vector<CorunGroup> &groups);
-
 } // namespace corun
 } // namespace spec17
 

@@ -108,9 +108,12 @@ CorunStore::runOrLoad(const CorunRunner &runner,
                       const std::vector<CorunGroup> &groups,
                       const CorunRunner::GroupObserver &observer)
 {
+    std::vector<std::string> names;
+    for (const CorunGroup &group : groups)
+        names.push_back(group.name());
     const suite::CampaignIdentity id{journalFile(runner),
                                      suite::configFingerprint(runner),
-                                     groupSetDigest(groups)};
+                                     suite::nameSetDigest("corun", names)};
     return sweep(id, suite::shardSlice(groups, shard_), observer,
                  [&runner](const std::vector<CorunGroup> &remaining,
                            const CorunRunner::GroupObserver &done,

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "cluster/sse.hh"
-#include "core/characterizer.hh"
 #include "core/metrics.hh"
 #include "suite/fanout.hh"
 #include "util/logging.hh"
@@ -66,12 +65,9 @@ ExploreRunner::pointCachePath(const ExplorePoint &point,
     return path + sanitize(point.axis) + "." + sanitize(point.label);
 }
 
-namespace {
-
-/** Folds one point's sweep rows into its accuracy/cost score. */
 PointResult
-scorePoint(const ExplorePoint &point,
-           const std::vector<suite::PairResult> &rows)
+ExploreRunner::scorePoint(const ExplorePoint &point,
+                          const std::vector<suite::PairResult> &rows)
 {
     PointResult scored;
     scored.point = point;
@@ -90,63 +86,39 @@ scorePoint(const ExplorePoint &point,
     return scored;
 }
 
-} // namespace
-
 std::vector<PointResult>
 ExploreRunner::runPoints(const std::vector<ExplorePoint> &points,
                          const std::string &step_tag) const
 {
+    // One sweep session per point: the point's config key differs, so
+    // it gets its own journal file. The fan-out engine runs them
+    // pair-major -- with an eligible arena store, every pair's trace
+    // is captured once and all points replay it in lockstep, with
+    // prefill cloning and buffer recycling across points; otherwise
+    // each cell runs through its point's own SuiteRunner::runPair
+    // (suite/fanout.hh). Jobs, shards and resume compose either way.
+    std::vector<suite::FanoutSession> sessions;
+    sessions.reserve(points.size());
+    for (const ExplorePoint &point : points) {
+        suite::FanoutSession session;
+        session.runner = options_.runner;
+        session.runner.system = point.system;
+        session.cachePath = pointCachePath(point, step_tag);
+        session.observer = options_.pairObserver;
+        sessions.push_back(std::move(session));
+    }
+    suite::FanoutOptions fanout;
+    fanout.resume = options_.resume;
+    fanout.shard = options_.shard;
+    const std::vector<std::vector<suite::PairResult>> sweeps =
+        suite::runFanoutSweep(sessions,
+                              workloads::suiteOf(options_.generation),
+                              options_.size, fanout);
+
     std::vector<PointResult> results;
     results.reserve(points.size());
-
-    if (suite::fanoutEligible(options_.runner)) {
-        // Shared-arena fan-out: every pair's trace is captured once
-        // and all points replay it in lockstep, with prefill cloning
-        // and buffer recycling across points (suite/fanout.hh). The
-        // per-point journals and results are byte-identical to the
-        // per-point sessions below.
-        std::vector<suite::FanoutSession> sessions;
-        sessions.reserve(points.size());
-        for (const ExplorePoint &point : points) {
-            suite::FanoutSession session;
-            session.runner = options_.runner;
-            session.runner.system = point.system;
-            session.cachePath = pointCachePath(point, step_tag);
-            session.observer = options_.pairObserver;
-            sessions.push_back(std::move(session));
-        }
-        suite::FanoutOptions fanout;
-        fanout.resume = options_.resume;
-        fanout.shard = options_.shard;
-        const std::vector<std::vector<suite::PairResult>> sweeps =
-            suite::runFanoutSweep(
-                sessions,
-                workloads::suiteOf(options_.generation),
-                options_.size, fanout);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            results.push_back(scorePoint(points[i], sweeps[i]));
-        markPareto(results);
-        return results;
-    }
-
-    for (const ExplorePoint &point : points) {
-        // One characterization session per point: the point's config
-        // key differs, so it gets its own journal file and its own
-        // in-process memo. The sweep itself runs on the ordered pool
-        // (jobs), sliced by the shard, resumed from the journal --
-        // all inherited from the suite machinery.
-        core::CharacterizerOptions session_options;
-        session_options.runner = options_.runner;
-        session_options.runner.system = point.system;
-        session_options.cachePath = pointCachePath(point, step_tag);
-        session_options.resume = options_.resume;
-        session_options.shard = options_.shard;
-        session_options.pairObserver = options_.pairObserver;
-        core::Characterizer session(session_options);
-        results.push_back(scorePoint(
-            point, session.results(options_.generation, options_.size)));
-    }
-
+    for (std::size_t i = 0; i < points.size(); ++i)
+        results.push_back(scorePoint(points[i], sweeps[i]));
     markPareto(results);
     return results;
 }

@@ -130,16 +130,24 @@ class ExploreRunner
 
     /**
      * Runs and scores an explicit point list (plan order preserved,
-     * Pareto marked over the list). Executes on the shared-arena
-     * multi-point fan-out engine (suite/fanout.hh) when the runner
-     * options are eligible -- one trace capture feeds every point per
-     * pair -- and on independent per-point characterization sessions
-     * otherwise; results and journals are identical either way.
+     * Pareto marked over the list). Always executes on the multi-point
+     * fan-out engine (suite::runFanoutSweep): with an eligible arena
+     * store one trace capture feeds every point per pair; an
+     * ineligible configuration runs each cell through its point's own
+     * SuiteRunner::runPair. Results and per-point journals are those
+     * of independent per-point sweeps either way.
      * @p step_tag namespaces the per-point journals (descent stages).
      */
     std::vector<PointResult> runPoints(
         const std::vector<ExplorePoint> &points,
         const std::string &step_tag = "") const;
+
+    /** runPoints' score of @p point from its sweep @p rows: the SSE
+     *  and mean IPC over the non-errored pairs, plus the pair counts.
+     *  Pareto marks are left to markPareto. */
+    static PointResult scorePoint(
+        const ExplorePoint &point,
+        const std::vector<suite::PairResult> &rows);
 
     /**
      * Journal base path for @p point:

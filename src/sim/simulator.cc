@@ -215,7 +215,7 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
                            std::size_t base, std::size_t n,
                            MemoryLaneLog *record,
                            const MemoryLaneLog *import,
-                           std::size_t *cursor)
+                           const MemoryLaneLog::Batch *imported)
 {
     // Equivalent to n consume() calls over lane slots [base, base+n)
     // of @p lanes, restructured into tight per-component passes so each
@@ -250,10 +250,10 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     //  - Counter increments accumulate in locals and flush once per
     //    batch (adds are commutative, observed only at step
     //    boundaries, and batches never straddle a step boundary).
-    // With @p import set, the cache and TLB passes -- deterministic
+    // With @p imported set, the cache and TLB passes -- deterministic
     // functions of the op stream and the (identical) hierarchy/TLB
     // configuration -- do not run: their lanes and counter deltas are
-    // read from the leader's log.batches[*cursor] instead, and this
+    // read from that batch of the leader's log instead, and this
     // simulator's hierarchy and TLBs are never touched. The branch,
     // footprint and retire passes run either way, so predictor state,
     // footprint and core timing are this simulator's own.
@@ -299,11 +299,8 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     std::uint64_t inst_repeat_hits = 0;
     std::uint64_t data_repeat_hits = 0;
     std::uint64_t data_repeat_load_hits = 0;
-    if (import != nullptr) {
-        SPEC17_ASSERT(*cursor < import->batches.size(),
-                      "memory-lane log exhausted: the sibling's batch "
-                      "schedule diverged from its leader's");
-        b = import->batches[(*cursor)++];
+    if (imported != nullptr) {
+        b = *imported;
         SPEC17_ASSERT(b.n == n,
                       "memory-lane batch size diverged from the log "
                       "(have ", n, ", recorded ", b.n, ")");
@@ -495,22 +492,22 @@ CpuSimulator::consumeBatch(const trace::MicroOpBatch &lanes,
     // Per-op memory-side lanes the remaining passes read: the
     // leader's recorded lanes when importing, else the scratch the
     // cache and TLB passes just staged.
-    const unsigned *__restrict const fetch_stall = import != nullptr
+    const unsigned *__restrict const fetch_stall = imported != nullptr
         ? import->fetchStall.data() + b.laneOffset
         : fetchStall_.data();
-    const unsigned *__restrict const mem_lat = import != nullptr
+    const unsigned *__restrict const mem_lat = imported != nullptr
         ? import->memLatency.data() + b.laneOffset
         : memLatency_.data();
-    const std::uint8_t *__restrict const l1_missed = import != nullptr
+    const std::uint8_t *__restrict const l1_missed = imported != nullptr
         ? import->l1Miss.data() + b.laneOffset
         : l1Miss_.data();
-    const std::uint8_t *__restrict const dram_code = import != nullptr
+    const std::uint8_t *__restrict const dram_code = imported != nullptr
         ? import->dram.data() + b.laneOffset
         : dram_.data();
-    const std::uint32_t *__restrict const mem_idx = import != nullptr
+    const std::uint32_t *__restrict const mem_idx = imported != nullptr
         ? import->memIdx.data() + b.memOffset
         : memIdx_.data();
-    const std::uint32_t *__restrict const branch_idx = import != nullptr
+    const std::uint32_t *__restrict const branch_idx = imported != nullptr
         ? import->branchIdx.data() + b.branchOffset
         : branchIdx_.data();
 
@@ -653,42 +650,22 @@ CpuSimulator::copyPrefillFrom(const CpuSimulator &other)
 }
 
 std::uint64_t
-CpuSimulator::step(trace::TraceSource &source, std::uint64_t max_ops)
+CpuSimulator::step(trace::TraceSource &source, std::uint64_t max_ops,
+                   MemoryLaneLog *record, const MemoryLaneLog *import)
 {
-    if (unbatched_)
+    if (unbatched_) {
+        SPEC17_ASSERT(record == nullptr && import == nullptr,
+                      "lane recording and importing require the batched "
+                      "lane");
         return stepUnbatched(source, max_ops);
-    return stepBatched(source, max_ops, nullptr, nullptr, nullptr);
-}
-
-std::uint64_t
-CpuSimulator::stepRecording(trace::TraceSource &source,
-                            std::uint64_t max_ops, MemoryLaneLog &log)
-{
-    SPEC17_ASSERT(!unbatched_,
-                  "lane recording requires the batched lane");
-    return stepBatched(source, max_ops, &log, nullptr, nullptr);
-}
-
-std::uint64_t
-CpuSimulator::stepImporting(trace::TraceSource &source,
-                            std::uint64_t max_ops,
-                            const MemoryLaneLog &log, std::size_t &cursor)
-{
-    SPEC17_ASSERT(!unbatched_,
-                  "lane importing requires the batched lane");
-    return stepBatched(source, max_ops, nullptr, &log, &cursor);
-}
-
-std::uint64_t
-CpuSimulator::stepBatched(trace::TraceSource &source,
-                          std::uint64_t max_ops, MemoryLaneLog *record,
-                          const MemoryLaneLog *import,
-                          std::size_t *cursor)
-{
+    }
+    SPEC17_ASSERT(record == nullptr || import == nullptr,
+                  "a step either records or imports memory lanes");
     // Re-assert this core's shared-L3 context: a sibling core's chunk
     // may have moved the shared cache's active context since our last
     // chunk. No-op for a private L3.
     hierarchy_.setL3Context(l3Context_);
+    std::size_t cursor = 0;
     std::uint64_t consumed = 0;
     while (consumed < max_ops) {
         // Clamping each batch to the remaining budget keeps step()'s
@@ -704,12 +681,26 @@ CpuSimulator::stepBatched(trace::TraceSource &source,
         std::size_t got = 0;
         const trace::MicroOpBatch &lanes =
             source.nextLanes(batch_, want, at, got);
-        if (got != 0)
-            consumeBatch(lanes, at, got, record, import, cursor);
+        if (got != 0) {
+            const MemoryLaneLog::Batch *imported = nullptr;
+            if (import != nullptr) {
+                SPEC17_ASSERT(cursor < import->batches.size(),
+                              "memory-lane log exhausted: the sibling's "
+                              "batch schedule diverged from its "
+                              "leader's");
+                imported = &import->batches[cursor++];
+            }
+            consumeBatch(lanes, at, got, record, import, imported);
+        }
         consumed += got;
         if (got < want)
             break;
     }
+    SPEC17_ASSERT(import == nullptr || cursor == import->batches.size(),
+                  "memory-lane log not consumed exactly (used ", cursor,
+                  " of ", import->batches.size(),
+                  " recorded batches): the sibling's batch schedule "
+                  "diverged from its leader's");
     return consumed;
 }
 

@@ -43,12 +43,14 @@ struct SimResult
  * hierarchy, TLB and core configuration consuming the identical
  * micro-op stream computes exactly these values -- so a clone-group
  * sibling in multi-point fan-out can import the leader's log
- * (stepImporting) instead of running its own cache and TLB passes,
- * and needs no prefilled cache state at all. Only the branch unit
- * (and the timing it feeds) runs per sibling.
+ * (CpuSimulator::step's @p import) instead of running its own cache
+ * and TLB passes, and needs no prefilled cache state at all. Only the
+ * branch unit (and the timing it feeds) runs per sibling.
  *
- * One log records one stepped chunk; clear() and reuse it per chunk
- * so the lane buffers stay allocated.
+ * One log records one stepped chunk (step's @p record), and one
+ * importing step() consumes it exactly: every recorded batch, no
+ * more, no fewer. clear() and reuse it per chunk so the lane buffers
+ * stay allocated.
  */
 struct MemoryLaneLog
 {
@@ -165,9 +167,28 @@ class CpuSimulator
      * budgets (which cap max_ops per call) observe identical op
      * counts.
      *
+     * Clone-group fan-out (suite/fanout.hh) sets at most one of the
+     * two lane-log arguments; both need the batched lane (panics
+     * under setUnbatchedStepping):
+     *  - @p record: every batch's memory-side outcomes are appended
+     *    to it (see MemoryLaneLog); results are unchanged, recording
+     *    costs one lane copy per batch.
+     *  - @p import: the cache and TLB passes are skipped and the
+     *    memory-side lanes and counters come from @p import, recorded
+     *    by a leader with the identical hierarchy, TLB and core
+     *    configuration over the identical micro-op stream and batch
+     *    schedule. The branch, footprint and retire passes still run
+     *    here, so per-point branch behavior and timing are exact.
+     *    This simulator's cache hierarchy and TLBs are never touched
+     *    (they may hold dirty-recycled garbage; see the constructor's
+     *    recycle_dirty). Panics unless the call consumes the log
+     *    exactly, batch for batch.
+     *
      * @return number of micro-ops actually consumed.
      */
-    std::uint64_t step(trace::TraceSource &source, std::uint64_t max_ops);
+    std::uint64_t step(trace::TraceSource &source, std::uint64_t max_ops,
+                       MemoryLaneLog *record = nullptr,
+                       const MemoryLaneLog *import = nullptr);
 
     /**
      * Reference lane: pulls and consumes one op at a time through
@@ -177,35 +198,6 @@ class CpuSimulator
      */
     std::uint64_t stepUnbatched(trace::TraceSource &source,
                                 std::uint64_t max_ops);
-
-    /**
-     * step() that additionally appends every batch's memory-side
-     * outcomes to @p log (see MemoryLaneLog). Results are identical
-     * to step(); recording costs one lane copy per batch. Batched
-     * lane only (panics under setUnbatchedStepping).
-     */
-    std::uint64_t stepRecording(trace::TraceSource &source,
-                                std::uint64_t max_ops,
-                                MemoryLaneLog &log);
-
-    /**
-     * step() for a clone-group sibling: skips the cache and TLB
-     * passes entirely and consumes @p log -- recorded by a leader
-     * with the identical hierarchy, TLB and core configuration over
-     * the identical micro-op stream and the identical batch schedule
-     * -- for the memory-side lanes and counters. The branch,
-     * footprint and retire passes still run on this simulator, so
-     * per-point branch behavior and timing are exact. This
-     * simulator's cache hierarchy and TLBs are never touched (they
-     * may hold dirty-recycled garbage; see the constructor's
-     * recycle_dirty). @p cursor indexes log.batches and advances per
-     * consumed batch; reset it to 0 with each fresh log. Panics if
-     * the batch schedule diverges from the log.
-     */
-    std::uint64_t stepImporting(trace::TraceSource &source,
-                                std::uint64_t max_ops,
-                                const MemoryLaneLog &log,
-                                std::size_t &cursor);
 
     /** Default micro-ops per batch on the fast lane. */
     static constexpr std::size_t kDefaultBatchOps = 256;
@@ -260,22 +252,14 @@ class CpuSimulator
      *  argument). @p lanes is whatever TraceSource::nextLanes()
      *  returned: the simulator's own batch_ or a source-owned buffer
      *  served zero-copy. When @p record is set, the post-TLB lanes
-     *  and counter deltas are appended to it. When @p import is set
-     *  (clone-group siblings), the cache and TLB passes are skipped
-     *  and their lanes and counters are read from
-     *  import->batches[(*cursor)++] instead. */
+     *  and counter deltas are appended to it. When @p imported is set
+     *  (clone-group siblings), it is the batch of @p import this call
+     *  consumes: the cache and TLB passes are skipped and their lanes
+     *  and counters are read from it instead. */
     void consumeBatch(const trace::MicroOpBatch &lanes,
                       std::size_t base, std::size_t n,
-                      MemoryLaneLog *record,
-                      const MemoryLaneLog *import, std::size_t *cursor);
-    /** Shared batched-lane pull loop behind step()/stepRecording()/
-     *  stepImporting(): exactly one of record / (import, cursor) may
-     *  be set. */
-    std::uint64_t stepBatched(trace::TraceSource &source,
-                              std::uint64_t max_ops,
-                              MemoryLaneLog *record,
-                              const MemoryLaneLog *import,
-                              std::size_t *cursor);
+                      MemoryLaneLog *record, const MemoryLaneLog *import,
+                      const MemoryLaneLog::Batch *imported);
     /** Forgets the per-set line memos after any non-batched cache
      *  mutation (reference lane, prefill); a cleared memo only costs
      *  one real access per set to re-establish. */

@@ -15,7 +15,6 @@
 namespace spec17 {
 namespace suite {
 
-using counters::PerfEvent;
 using workloads::AppInputPair;
 using workloads::WorkloadProfile;
 
@@ -130,9 +129,10 @@ class DonorPool
 /**
  * Simulates @p pair for every session index in @p active, writing
  * each point's result into @p row. Cells the shared-arena path cannot
- * reproduce exactly (multi-threaded pairs, malformed profiles, any
- * cell that faults) delegate to the point's own SuiteRunner::runPair,
- * which carries the full retry/failure-record semantics.
+ * reproduce exactly (ineligible configurations, multi-threaded pairs,
+ * malformed profiles, any cell that faults) delegate to the point's
+ * own SuiteRunner::runPair, which carries the full retry/failure-
+ * record semantics.
  */
 void
 runFanoutPair(const AppInputPair &pair,
@@ -149,17 +149,20 @@ runFanoutPair(const AppInputPair &pair,
         row[p].result = runners[p]->runPair(pair);
     };
 
-    // The multicore interleaver's chunk schedule shapes shared-L3
-    // contention; it runs per point. A malformed profile is a
-    // contained per-point failure. Both take the ordinary path (the
-    // arena store still deduplicates their trace captures).
-    if (profile.numThreads > 1 || !profile.validationError().empty()) {
+    // An ineligible configuration needs live generation or per-pair
+    // hooks the lockstep pass does not run. The multicore
+    // interleaver's chunk schedule shapes shared-L3 contention; it
+    // runs per point. A malformed profile is a contained per-point
+    // failure. All take the ordinary path (an attached arena store
+    // still deduplicates their trace captures).
+    const RunnerOptions &base = sessions[active.front()].runner;
+    if (!fanoutEligible(base) || profile.numThreads > 1
+        || !profile.validationError().empty()) {
         for (std::size_t p : active)
             fallback(p);
         return;
     }
 
-    const RunnerOptions &base = sessions[active.front()].runner;
     const workloads::BuildOptions build = attemptBuildOptions(base, 0);
     const std::uint64_t pair_seed = pairSimSeed(pair, build.seed);
 
@@ -237,21 +240,15 @@ runFanoutPair(const AppInputPair &pair,
     for (std::size_t j = 0; j < n; ++j)
         ++group_size[leader_of[j]];
     std::vector<sim::MemoryLaneLog> logs(n);
-    std::vector<std::size_t> cursors(n, 0);
     const auto step_lockstep = [&](std::size_t j,
                                    std::uint64_t chunk) {
         const std::size_t lead = leader_of[j];
-        if (lead == j) {
-            if (group_size[j] > 1) {
-                logs[j].clear();
-                return sims[j]->stepRecording(replays[j], chunk,
-                                              logs[j]);
-            }
+        if (lead != j)
+            return sims[j]->step(replays[j], chunk, nullptr, &logs[lead]);
+        if (group_size[j] == 1)
             return sims[j]->step(replays[j], chunk);
-        }
-        cursors[j] = 0;
-        return sims[j]->stepImporting(replays[j], chunk, logs[lead],
-                                      cursors[j]);
+        logs[j].clear();
+        return sims[j]->step(replays[j], chunk, &logs[j]);
     };
 
     // Lockstep warmup: all points consume the same arena slice chunk
@@ -320,17 +317,9 @@ runFanoutPair(const AppInputPair &pair,
         const std::size_t p = active[j];
         try {
             // The exact measurement tail of the runner's single-core
-            // attempt: finalize, un-diff VSZ, subtract the warm
-            // baseline, override the footprint gauges, scale.
-            sim::SimResult sim_result = sims[j]->finish(replays[j]);
-            const std::uint64_t vsz =
-                sim_result.counters.get(PerfEvent::VszBytes);
-            sim_result.counters = sim_result.counters.diff(warm[j]);
-            sim_result.counters.set(PerfEvent::VszBytes, vsz);
-            sim_result.counters.set(PerfEvent::RssBytes,
-                                    sims[j]->footprint().rssBytes());
-            sim_result.cycles -= warm_cycles[j];
-
+            // attempt.
+            const sim::SimResult sim_result = measuredSinceWarmup(
+                *sims[j], replays[j], warm[j], warm_cycles[j]);
             PairResult result = makePairResult(pair);
             finalizePairResult(sessions[p].runner, sim_result, result);
             row[p].fresh = true;
@@ -385,9 +374,6 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
 {
     SPEC17_ASSERT(!sessions.empty(), "fan-out sweep without points");
     for (const FanoutSession &session : sessions) {
-        SPEC17_ASSERT(fanoutEligible(session.runner),
-                      "fan-out session is not eligible "
-                      "(see fanoutEligible)");
         SPEC17_ASSERT(session.runner.arenaStore
                           == sessions.front().runner.arenaStore,
                       "fan-out sessions must share one arena store");

@@ -21,10 +21,12 @@
  * finalizePairResult) and replay is draw-for-draw identical to live
  * generation, so a fan-out sweep's results -- and each point's
  * journal bytes -- are identical to M independent per-point sweeps.
- * Any cell the engine cannot run this way (multi-threaded pairs,
+ * Any cell the engine cannot run this way (every cell of a
+ * configuration that fails fanoutEligible, multi-threaded pairs,
  * malformed profiles, cells that fault mid-replay) delegates to
  * SuiteRunner::runPair, which reproduces the per-point semantics
- * (retries, failure records) exactly.
+ * (retries, failure records) exactly. So this engine is the one path
+ * for any multi-point sweep, whatever the runner flags.
  */
 
 #ifndef SPEC17_SUITE_FANOUT_HH_
@@ -43,9 +45,10 @@ namespace suite {
 struct FanoutSession
 {
     /** The point's full runner configuration (typically the shared
-     *  base with only `system` changed). Must satisfy
-     *  fanoutEligible() and share every non-system knob -- and the
-     *  arena store -- with its sibling sessions. */
+     *  base with only `system` changed). Must share every non-system
+     *  knob -- and the arena store -- with its sibling sessions, so
+     *  all points are eligible for lockstep (see fanoutEligible) or
+     *  none is. */
     RunnerOptions runner;
     /** Result-journal base path for this point (the same path a
      *  per-point ResultCache would use); empty disables journaling. */
@@ -66,12 +69,13 @@ struct FanoutOptions
 };
 
 /**
- * True when @p options can run on the fan-out engine: an arena store
- * is attached and nothing that requires live generation or per-pair
- * observation hooks is armed (interval telemetry, telemetry sink,
- * fault injection, watchdog deadlines, the unbatched reference lane).
- * Ineligible configurations should run per-point sweeps instead; the
- * results are identical either way.
+ * True when @p options can run on the fan-out engine's lockstep pass:
+ * an arena store is attached and nothing that requires live
+ * generation or per-pair observation hooks is armed (interval
+ * telemetry, telemetry sink, fault injection, watchdog deadlines, the
+ * unbatched reference lane). runFanoutSweep runs every cell of an
+ * ineligible configuration through the point's own
+ * SuiteRunner::runPair instead; the results are identical either way.
  */
 bool fanoutEligible(const RunnerOptions &options);
 
@@ -81,8 +85,8 @@ bool fanoutEligible(const RunnerOptions &options);
  * simulate it in lockstep chunks. Returns one result vector per
  * session, in session order, each byte-equivalent to that session's
  * ResultCache::runOrLoad (journals included, at any job count).
- * Sessions must be non-empty, eligible, and agree on every
- * non-system runner knob.
+ * Sessions must be non-empty and agree on every non-system runner
+ * knob.
  */
 std::vector<std::vector<PairResult>> runFanoutSweep(
     const std::vector<FanoutSession> &sessions,

@@ -115,6 +115,15 @@ hex16(std::uint64_t value)
 }
 
 std::string
+nameSetDigest(std::string_view tag, const std::vector<std::string> &names)
+{
+    std::uint64_t h = fnv1a(tag);
+    for (const std::string &name : names)
+        h = fnv1a(name, fnv1a("|", h));
+    return hex16(h);
+}
+
+std::string
 recordHash(const std::string &config_fingerprint,
            const std::string &payload)
 {

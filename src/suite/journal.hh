@@ -66,6 +66,15 @@ std::uint64_t fnv1a(std::string_view data,
 std::string hex16(std::uint64_t value);
 
 /**
+ * 16-hex-digit digest of a campaign's canonical item enumeration:
+ * FNV-1a over `tag|name|name...` with every item name, pre-shard.
+ * Shards of one campaign share it; journals of another suite, size
+ * or co-run plan cannot be confused for its shards.
+ */
+std::string nameSetDigest(std::string_view tag,
+                          const std::vector<std::string> &names);
+
+/**
  * Content hash of one journal record: FNV-1a over the campaign's
  * config fingerprint, a separator, and the record payload. Binding
  * the config fingerprint in makes a record unverifiable outside its

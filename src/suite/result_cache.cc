@@ -93,20 +93,6 @@ PairResultCodec::serialize(const PairResult &r)
     return out.str();
 }
 
-std::string
-pairSetDigest(const std::vector<WorkloadProfile> &suite, InputSize size)
-{
-    std::uint64_t h =
-        fnv1a(suite.empty() ? "empty" : generationName(suite.front()));
-    h = fnv1a("|", h);
-    h = fnv1a(workloads::inputSizeName(size), h);
-    for (const auto &pair : enumeratePairs(suite, size)) {
-        h = fnv1a("|", h);
-        h = fnv1a(pair.displayName(), h);
-    }
-    return hex16(h);
-}
-
 ResultCache::ResultCache(std::string path, bool resume)
     : CampaignStore(std::move(path), resume)
 {
@@ -138,7 +124,14 @@ ResultCache::identity(const SuiteRunner &runner,
     const std::string file = journalFile(suite, size);
     if (file.empty())
         return {};
-    return {file, configFingerprint(runner), pairSetDigest(suite, size)};
+    // The pair set: generation, size and every pair display name.
+    std::vector<std::string> names;
+    for (const auto &pair : enumeratePairs(suite, size))
+        names.push_back(pair.displayName());
+    return {file, configFingerprint(runner),
+            nameSetDigest(std::string(generationName(suite.front())) + "|"
+                              + workloads::inputSizeName(size),
+                          names)};
 }
 
 ResultCache::SweepPrefix

@@ -21,16 +21,6 @@
 namespace spec17 {
 namespace suite {
 
-/**
- * 16-hex-digit digest of the full canonical pair enumeration of
- * (@p suite, @p size) -- generation, size and every pair display
- * name, pre-shard. Shards of one campaign share it; journals from a
- * different suite or size cannot be confused for shards.
- */
-std::string pairSetDigest(
-    const std::vector<workloads::WorkloadProfile> &suite,
-    workloads::InputSize size);
-
 /** Journal codec of one PairResult per application-input pair. */
 struct PairResultCodec
 {

@@ -245,6 +245,22 @@ makePairResult(const AppInputPair &pair)
     return result;
 }
 
+sim::SimResult
+measuredSinceWarmup(sim::CpuSimulator &simulator,
+                    const trace::TraceSource &source,
+                    const CounterSet &warm, double warm_cycles)
+{
+    sim::SimResult sim_result = simulator.finish(source);
+    const std::uint64_t vsz =
+        sim_result.counters.get(PerfEvent::VszBytes);
+    sim_result.counters = sim_result.counters.diff(warm);
+    sim_result.counters.set(PerfEvent::VszBytes, vsz);
+    sim_result.counters.set(PerfEvent::RssBytes,
+                            simulator.footprint().rssBytes());
+    sim_result.cycles -= warm_cycles;
+    return sim_result;
+}
+
 void
 finalizePairResult(const RunnerOptions &options,
                    const sim::SimResult &sim_result, PairResult &result)
@@ -498,14 +514,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                 std::make_shared<const telemetry::TimeSeries>(
                     sampler->series());
         }
-        sim_result = simulator.finish(source);
-        const std::uint64_t vsz =
-            sim_result.counters.get(PerfEvent::VszBytes);
-        sim_result.counters = sim_result.counters.diff(warm);
-        sim_result.counters.set(PerfEvent::VszBytes, vsz);
-        sim_result.counters.set(PerfEvent::RssBytes,
-                                simulator.footprint().rssBytes());
-        sim_result.cycles -= warm_cycles;
+        sim_result =
+            measuredSinceWarmup(simulator, source, warm, warm_cycles);
     }
 
     finalizePairResult(options_, sim_result, result);
@@ -572,11 +582,7 @@ SuiteRunner::runPair(const AppInputPair &pair) const
     // Every attempt failed: surface an errored result mirroring the
     // paper's "could not collect" semantics so aggregate analysis
     // excludes the pair while the sweep carries on.
-    PairResult failed;
-    failed.name = name;
-    failed.profile = pair.profile;
-    failed.size = pair.size;
-    failed.inputIndex = pair.inputIndex;
+    PairResult failed = makePairResult(pair);
     failed.errored = true;
     failed.attempts = static_cast<unsigned>(failures.size());
     failed.failures = std::move(failures);

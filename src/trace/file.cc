@@ -115,26 +115,20 @@ FileTrace::FileTrace(const std::string &path) : path_(path)
                      count_, " records, file holds ", body / kRecordBytes,
                      " (+", body % kRecordBytes, " bytes): ", path);
     in_.seekg(kHeaderBytes);
-    buffer_.reserve(kBufferRecords);
+    raw_.resize(kBufferRecords * kRecordBytes);
 }
 
 void
-FileTrace::refill()
+FileTrace::fill()
 {
-    buffer_.clear();
-    bufferPos_ = 0;
-    const std::uint64_t remaining = count_ - delivered_;
     const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, kBufferRecords));
-    if (want == 0)
-        return;
-    std::vector<unsigned char> raw(want * kRecordBytes);
-    in_.read(reinterpret_cast<char *>(raw.data()),
-             static_cast<std::streamsize>(raw.size()));
-    if (static_cast<std::size_t>(in_.gcount()) != raw.size())
+        std::min<std::uint64_t>(count_ - delivered_, kBufferRecords));
+    in_.read(reinterpret_cast<char *>(raw_.data()),
+             static_cast<std::streamsize>(want * kRecordBytes));
+    if (static_cast<std::size_t>(in_.gcount()) != want * kRecordBytes)
         SPEC17_FATAL("trace file truncated while reading: ", path_);
-    for (std::size_t i = 0; i < want; ++i)
-        buffer_.push_back(unpack(raw.data() + i * kRecordBytes));
+    rawPos_ = 0;
+    rawEnd_ = want;
 }
 
 bool
@@ -142,9 +136,9 @@ FileTrace::next(isa::MicroOp &op)
 {
     if (delivered_ >= count_)
         return false;
-    if (bufferPos_ >= buffer_.size())
-        refill();
-    op = buffer_[bufferPos_++];
+    if (rawPos_ == rawEnd_)
+        fill();
+    op = unpack(raw_.data() + rawPos_++ * kRecordBytes);
     ++delivered_;
     return true;
 }
@@ -152,33 +146,18 @@ FileTrace::next(isa::MicroOp &op)
 std::size_t
 FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
 {
-    // Drains whatever the decode buffer still holds (records already
-    // unpacked for next()), then scatters the rest of the pull
-    // straight from raw file records into the lanes, skipping the
-    // intermediate MicroOp buffer entirely.
     out.ensure(at + n);
     std::size_t filled = 0;
-    while (filled < n && bufferPos_ < buffer_.size()) {
-        out.set(at + filled, buffer_[bufferPos_++]);
-        ++delivered_;
-        ++filled;
-    }
     while (filled < n && delivered_ < count_) {
-        const std::uint64_t remaining = count_ - delivered_;
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                remaining,
-                std::min<std::uint64_t>(n - filled, kBufferRecords)));
-        rawScratch_.resize(want * kRecordBytes);
-        in_.read(reinterpret_cast<char *>(rawScratch_.data()),
-                 static_cast<std::streamsize>(rawScratch_.size()));
-        if (static_cast<std::size_t>(in_.gcount()) != rawScratch_.size())
-            SPEC17_FATAL("trace file truncated while reading: ", path_);
-        for (std::size_t i = 0; i < want; ++i)
+        if (rawPos_ == rawEnd_)
+            fill();
+        const std::size_t take = std::min(n - filled, rawEnd_ - rawPos_);
+        for (std::size_t i = 0; i < take; ++i)
             out.set(at + filled + i,
-                    unpack(rawScratch_.data() + i * kRecordBytes));
-        delivered_ += want;
-        filled += want;
+                    unpack(raw_.data() + (rawPos_ + i) * kRecordBytes));
+        rawPos_ += take;
+        delivered_ += take;
+        filled += take;
     }
     return filled;
 }
@@ -189,8 +168,8 @@ FileTrace::reset()
     in_.clear();
     in_.seekg(kHeaderBytes);
     delivered_ = 0;
-    buffer_.clear();
-    bufferPos_ = 0;
+    rawPos_ = 0;
+    rawEnd_ = 0;
 }
 
 std::uint64_t

@@ -31,8 +31,10 @@ namespace trace {
 std::uint64_t writeTrace(const std::string &path, TraceSource &source);
 
 /**
- * Streams a trace file from disk. Records are read through a
- * fixed-size buffer; reset() rewinds to the first record.
+ * Streams a trace file from disk. Records are read through one
+ * fixed-size raw buffer and unpacked on delivery, whether per op
+ * (next) or into lanes (nextBatchSoA); reset() rewinds to the first
+ * record.
  */
 class FileTrace : public TraceSource
 {
@@ -50,16 +52,20 @@ class FileTrace : public TraceSource
     std::uint64_t size() const { return count_; }
 
   private:
-    void refill();
+    /** Reads the next run of raw records into raw_ once it is drained
+     *  (fatal on a short read); both delivery surfaces unpack from
+     *  it. */
+    void fill();
 
     std::string path_;
     std::ifstream in_;
     std::uint64_t count_ = 0;
     std::uint64_t reserveBytes_ = 0;
     std::uint64_t delivered_ = 0;
-    std::vector<isa::MicroOp> buffer_;
-    std::size_t bufferPos_ = 0;
-    std::vector<unsigned char> rawScratch_;
+    /** Raw packed records; [rawPos_, rawEnd_) are not yet delivered. */
+    std::vector<unsigned char> raw_;
+    std::size_t rawPos_ = 0;
+    std::size_t rawEnd_ = 0;
 };
 
 } // namespace trace

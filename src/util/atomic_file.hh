@@ -20,7 +20,9 @@ namespace spec17 {
  * renamed over @p path (an atomic replacement on POSIX filesystems).
  * On any failure the temp file is removed and the target is left
  * untouched; the diagnosis goes to @p error when given, otherwise it
- * is emitted as a warning.
+ * is emitted as a warning. An existing non-regular file at @p path (a
+ * device such as /dev/stdout, or a pipe) cannot be renamed over, so
+ * it is written in place instead, with the same write checks.
  *
  * @return true when the file was fully committed.
  */

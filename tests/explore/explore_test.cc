@@ -15,8 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "core/characterizer.hh"
 #include "suite/arena_store.hh"
-#include "suite/fanout.hh"
+#include "util/atomic_file.hh"
 #include "util/units.hh"
 
 namespace spec17 {
@@ -290,32 +291,85 @@ TEST(ExploreGolden, TableIsIdenticalAcrossMidSweepResume)
 
 TEST(ExploreGolden, CrossTableIdenticalAcrossFanoutAndJobs)
 {
-    // Reference: per-point sessions (no arena store), jobs 1.
-    ExploreOptions per_point = tinyOptions();
     const std::vector<std::string> axes = {"way-predictor",
                                            "l2-prefetcher"};
-    const auto baseline = ExploreRunner(per_point).runCross(axes);
-    ASSERT_EQ(baseline.size(), 12u);
+    const auto points = planCross(axes, tinyOptions().runner.system);
+    ASSERT_EQ(points.size(), 12u);
+    const std::string dir = ::testing::TempDir();
+    const auto journaled = [&](const std::string &name) {
+        ExploreOptions options = tinyOptions();
+        options.cachePath = dir + "/explore_cross_" + name;
+        return options;
+    };
+    const auto journals_of = [&](const ExploreOptions &options) {
+        std::vector<std::string> files;
+        for (const ExplorePoint &point : points)
+            files.push_back(ExploreRunner(options).pointCachePath(point)
+                            + ".cpu2006.test.csv");
+        return files;
+    };
 
-    // The per-op reference lane scores the same table.
-    ExploreOptions reference = tinyOptions();
-    reference.runner.unbatchedStepping = true;
-    expectSameTable(baseline, ExploreRunner(reference).runCross(axes));
+    // Oracle, independent of the fan-out engine: one characterization
+    // session per point, journaling at the point's own path.
+    const ExploreOptions oracle = journaled("oracle");
+    std::vector<PointResult> baseline;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        core::CharacterizerOptions session;
+        session.runner = oracle.runner;
+        session.runner.system = points[i].system;
+        session.cachePath = ExploreRunner(oracle).pointCachePath(points[i]);
+        core::Characterizer characterizer(session);
+        baseline.push_back(ExploreRunner::scorePoint(
+            points[i],
+            characterizer.results(oracle.generation, oracle.size)));
+    }
+    markPareto(baseline);
+    std::vector<std::string> golden;
+    for (const std::string &file : journals_of(oracle)) {
+        std::string bytes;
+        ASSERT_TRUE(readFile(file, bytes)) << file;
+        golden.push_back(bytes);
+        std::remove(file.c_str());
+    }
 
-    // The shared-arena fan-out engine must score the bit-identical
-    // table, at any job count: one capture per pair feeding all 12
-    // points is an execution strategy, never semantics.
+    // Every route through the one engine scores the bit-identical
+    // table and writes byte-identical per-point journals: the all-
+    // fallback routes (no arena store; the per-op reference lane) and
+    // the lockstep route at any job count. One capture per pair
+    // feeding all 12 points is an execution strategy, never semantics.
+    const auto expect_oracle = [&](const ExploreOptions &options) {
+        expectSameTable(baseline, ExploreRunner(options).runCross(axes));
+        const auto files = journals_of(options);
+        for (std::size_t i = 0; i < files.size(); ++i) {
+            std::string bytes;
+            EXPECT_TRUE(readFile(files[i], bytes)) << files[i];
+            EXPECT_EQ(bytes, golden[i]) << files[i];
+            std::remove(files[i].c_str());
+        }
+    };
+    {
+        SCOPED_TRACE("no arena store");
+        expect_oracle(journaled("no_store"));
+    }
+    {
+        SCOPED_TRACE("reference lane");
+        ExploreOptions reference = journaled("reference");
+        reference.runner.unbatchedStepping = true;
+        expect_oracle(reference);
+    }
     for (const unsigned jobs : {1u, 8u}) {
         SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
         suite::TraceArenaStore store(512 * kMiB);
-        ExploreOptions fanout = tinyOptions();
+        ExploreOptions fanout = journaled("fanout");
         fanout.runner.jobs = jobs;
         fanout.runner.arenaStore = &store;
-        ASSERT_TRUE(suite::fanoutEligible(fanout.runner));
-        expectSameTable(baseline, ExploreRunner(fanout).runCross(axes));
-        // The engine captured each pair's trace once; the points
-        // replayed it rather than re-acquiring through the store.
+        expect_oracle(fanout);
+        // The lockstep pass ran with the store attached: it acquires
+        // each pair's trace once for all points, so nothing is ever
+        // re-acquired (a per-point fallback would hit 11 times per
+        // pair).
         EXPECT_GT(store.stats().captures, 0u);
+        EXPECT_EQ(store.stats().hits, 0u);
     }
 }
 

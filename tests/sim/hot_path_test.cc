@@ -346,12 +346,11 @@ TEST(HotPath, ImportingSiblingMatchesReferenceLane)
         while (true) {
             log.clear();
             const std::uint64_t led =
-                leader.stepRecording(leader_ops, chunk, log);
-            std::size_t cursor = 0;
+                leader.step(leader_ops, chunk, &log, nullptr);
+            // Importing panics unless it consumes the log exactly.
             const std::uint64_t got =
-                sibling.stepImporting(sibling_ops, chunk, log, cursor);
+                sibling.step(sibling_ops, chunk, nullptr, &log);
             ASSERT_EQ(got, led);
-            ASSERT_EQ(cursor, log.batches.size());
             ASSERT_EQ(reference.stepUnbatched(reference_ops, chunk), got);
             consumed += got;
             ASSERT_TRUE(sameCountersAndCycles(sibling, reference))
@@ -361,6 +360,24 @@ TEST(HotPath, ImportingSiblingMatchesReferenceLane)
         }
         EXPECT_EQ(consumed, params.numOps);
     }
+}
+
+TEST(HotPathDeathTest, ImportingMustConsumeTheLogExactly)
+{
+    // A log recorded over a larger chunk than the importing step:
+    // the sibling consumes a prefix of the batches and must panic
+    // rather than leave the rest silently unconsumed.
+    const auto arena = std::make_shared<const trace::TraceArena>(
+        trace::captureArena(mixedParams(4096)));
+    CpuSimulator leader(machine(), 42);
+    CpuSimulator sibling(machine(), 42);
+    trace::ReplaySource leader_ops(arena);
+    trace::ReplaySource sibling_ops(arena);
+    MemoryLaneLog log;
+    ASSERT_EQ(leader.step(leader_ops, 2048, &log, nullptr), 2048u);
+    ASSERT_EQ(log.batches.size(), 2048 / CpuSimulator::kDefaultBatchOps);
+    EXPECT_DEATH(sibling.step(sibling_ops, 1024, nullptr, &log),
+                 "not consumed exactly");
 }
 
 TEST(HotPath, BatchSizeValidationAndDefaults)

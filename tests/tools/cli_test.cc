@@ -602,6 +602,36 @@ TEST(CliRun, CorunHonoursTheUarchFlags)
     std::remove(journal.c_str());
 }
 
+TEST(CliRun, ExportWritersFailOnAShortWrite)
+{
+    // /dev/full opens fine and fails every write: an export that
+    // cannot be fully written exits 1 instead of reporting "wrote".
+    const std::vector<std::vector<const char *>> runs = {
+        {"explore", "--axis=way-predictor", "--suite=cpu2006",
+         "--size=test", "--sample=2000", "--warmup=500", "--no-cache",
+         "--export-jsonl=/dev/full"},
+        {"explore", "--axis=way-predictor", "--suite=cpu2006",
+         "--size=test", "--sample=2000", "--warmup=500", "--no-cache",
+         "--explore-out=/dev/full"},
+        {"corun", "--size=test", "--apps=541.leela_r", "--sample=2000",
+         "--warmup=500", "--no-cache", "--export-jsonl=/dev/full"},
+    };
+    for (const auto &args : runs) {
+        SCOPED_TRACE(args.back());
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parseCommandLine(
+                                 static_cast<int>(args.size()),
+                                 args.data()),
+                             out, err),
+                  1);
+        EXPECT_NE(err.str().find("error: cannot write /dev/full"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str().find("wrote"), std::string::npos)
+            << out.str();
+    }
+}
+
 TEST(CliRun, UsageDocumentsShardingAndJournalTools)
 {
     const std::string text = usage();

@@ -165,30 +165,46 @@ TEST(TraceBatch, FileTraceBatchMatchesPerOp)
 
 TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
 {
+    // Rotates next(), nextLanes() and nextBatchSoA() pulls until the
+    // source drains.
+    const auto drain_mixed = [](TraceSource &source) {
+        std::vector<isa::MicroOp> ops;
+        isa::MicroOp op;
+        MicroOpBatch buf;
+        while (true) {
+            if (ops.size() % 3 == 0) {
+                if (!source.next(op))
+                    break;
+                ops.push_back(op);
+            } else if (ops.size() % 3 == 1) {
+                if (pullLanes(source, buf, 17, ops) < 17)
+                    break;
+            } else {
+                const std::size_t got = source.nextBatchSoA(buf, 0, 5);
+                for (std::size_t i = 0; i < got; ++i)
+                    ops.push_back(buf.get(i));
+                if (got < 5)
+                    break;
+            }
+        }
+        return ops;
+    };
+
     SyntheticTraceGenerator per_op(params());
     const auto golden = drainPerOp(per_op);
 
     SyntheticTraceGenerator mixed(params());
-    std::vector<isa::MicroOp> ops;
-    isa::MicroOp op;
-    MicroOpBatch buf;
-    while (true) {
-        if (ops.size() % 3 == 0) {
-            if (!mixed.next(op))
-                break;
-            ops.push_back(op);
-        } else if (ops.size() % 3 == 1) {
-            if (pullLanes(mixed, buf, 17, ops) < 17)
-                break;
-        } else {
-            const std::size_t got = mixed.nextBatchSoA(buf, 0, 5);
-            for (std::size_t i = 0; i < got; ++i)
-                ops.push_back(buf.get(i));
-            if (got < 5)
-                break;
-        }
-    }
-    expectSameStream(ops, golden);
+    expectSameStream(drain_mixed(mixed), golden);
+
+    // A file of 20000 records spans several 4096-record decode
+    // buffers, so mixed pulls straddle buffer boundaries.
+    const std::string path =
+        std::string(::testing::TempDir()) + "/spec17_batch_mixed.s17t";
+    SyntheticTraceGenerator gen(params());
+    ASSERT_EQ(writeTrace(path, gen), golden.size());
+    FileTrace file(path);
+    expectSameStream(drain_mixed(file), golden);
+    std::remove(path.c_str());
 }
 
 TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)

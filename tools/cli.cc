@@ -1,7 +1,7 @@
 #include "tools/cli.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,6 +26,7 @@
 #include "telemetry/sink.hh"
 #include "trace/file.hh"
 #include "trace/synthetic.hh"
+#include "util/atomic_file.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 #include "workloads/builder.hh"
@@ -249,6 +250,33 @@ pairProgress(telemetry::ProgressReporter &progress)
             result.counters.get(counters::PerfEvent::InstRetiredAny),
             result.attempts, result.errored, result.replayed);
     };
+}
+
+/**
+ * When flag @p flag names a file, renders @p what through @p render
+ * and commits it there atomically (writeFileAtomic), reporting
+ * `wrote WHAT to PATH`. False, after reporting `error: cannot write
+ * PATH: ...`, when the file could not be fully written.
+ */
+bool
+exportToFlag(const CommandLine &command, const char *flag,
+             const std::string &what,
+             const std::function<void(std::ostream &)> &render,
+             std::ostream &out, std::ostream &err)
+{
+    if (!command.hasFlag(flag))
+        return true;
+    const std::string path = command.flag(flag);
+    std::ostringstream text;
+    text.precision(17);
+    render(text);
+    std::string error;
+    if (!writeFileAtomic(path, text.str(), &error)) {
+        err << "error: cannot write " << path << ": " << error << "\n";
+        return false;
+    }
+    out << "wrote " << what << " to " << path << "\n";
+    return true;
 }
 
 /**
@@ -634,14 +662,7 @@ cmdCorun(const CommandLine &command, std::ostream &out,
     const std::vector<corun::CorunResult> results =
         store.runOrLoad(runner, groups, observer);
 
-    if (command.hasFlag("export-jsonl")) {
-        const std::string path = command.flag("export-jsonl");
-        std::ofstream jsonl(path, std::ios::trunc | std::ios::binary);
-        if (!jsonl) {
-            err << "error: cannot write " << path << "\n";
-            return 1;
-        }
-        jsonl.precision(17);
+    const auto group_records = [&](std::ostream &jsonl) {
         for (const auto &result : results) {
             jsonl << "{\"group\":\"" << result.name << "\","
                   << "\"partition\":";
@@ -671,9 +692,11 @@ cmdCorun(const CommandLine &command, std::ostream &out,
             }
             jsonl << "]}\n";
         }
-        out << "wrote " << results.size() << " group record(s) to "
-            << path << "\n";
-    }
+    };
+    if (!exportToFlag(command, "export-jsonl",
+                      std::to_string(results.size()) + " group record(s)",
+                      group_records, out, err))
+        return 1;
 
     // Member-level breakdown of the free-for-all groups (partitioned
     // variants feed the Pareto table below instead).
@@ -866,14 +889,7 @@ cmdExplore(const CommandLine &command, std::ostream &out,
                            step.points.end());
     }
 
-    if (command.hasFlag("export-jsonl")) {
-        const std::string path = command.flag("export-jsonl");
-        std::ofstream jsonl(path, std::ios::trunc | std::ios::binary);
-        if (!jsonl) {
-            err << "error: cannot write " << path << "\n";
-            return 1;
-        }
-        jsonl.precision(17);
+    const auto point_records = [&](std::ostream &jsonl) {
         for (const auto &r : results) {
             jsonl << "{\"axis\":\"" << r.point.axis << "\","
                   << "\"point\":\"" << r.point.label << "\","
@@ -886,23 +902,20 @@ cmdExplore(const CommandLine &command, std::ostream &out,
                   << ",\"knee\":" << (r.knee ? "true" : "false")
                   << "}\n";
         }
-        out << "wrote " << results.size() << " point record(s) to "
-            << path << "\n";
-    }
+    };
+    if (!exportToFlag(command, "export-jsonl",
+                      std::to_string(results.size()) + " point record(s)",
+                      point_records, out, err))
+        return 1;
 
     TextTable table({"axis", "point", "SSE (pp^2)", "cost (bits)",
                      "mean IPC", "pairs", "errored", "Pareto"});
     renderExploreTable(results, table);
-    if (command.hasFlag("explore-out")) {
-        const std::string path = command.flag("explore-out");
-        std::ofstream csv(path, std::ios::trunc | std::ios::binary);
-        if (!csv) {
-            err << "error: cannot write " << path << "\n";
-            return 1;
-        }
-        table.renderCsv(csv);
-        out << "wrote Pareto table to " << path << "\n";
-    }
+    if (!exportToFlag(
+            command, "explore-out", "Pareto table",
+            [&table](std::ostream &csv) { table.renderCsv(csv); }, out,
+            err))
+        return 1;
     if (command.hasFlag("csv")) {
         table.renderCsv(out);
         return 0;
