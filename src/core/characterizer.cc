@@ -10,10 +10,9 @@ using workloads::SuiteGeneration;
 
 Characterizer::Characterizer(CharacterizerOptions options)
     : runner_(options.runner),
-      cache_(options.cachePath, options.resume),
+      cache_(options.cachePath, options.resume, options.shard),
       pairObserver_(std::move(options.pairObserver))
 {
-    cache_.setShard(options.shard);
 }
 
 const std::vector<suite::PairResult> &

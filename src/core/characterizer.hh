@@ -21,22 +21,16 @@
 namespace spec17 {
 namespace core {
 
-/** Configuration of a characterization session. */
-struct CharacterizerOptions
+/** Configuration of a characterization session; the campaign scope
+ *  (resume, shard) applies to every sweep it runs. */
+struct CharacterizerOptions : suite::CampaignOptions
 {
     suite::RunnerOptions runner;
     /** Result-cache base path; empty disables caching. */
     std::string cachePath = suite::ResultCache::defaultPath();
-    /** Resume interrupted sweeps from the on-disk journal instead of
-     *  restarting them (crash-safe checkpointed sweeps). */
-    bool resume = false;
-    /** Run only one shard of each sweep's pair cross-product,
-     *  journaled to a per-shard file (default 1/1 = whole sweep).
-     *  Shard journals merge back via `spec17 merge`. */
-    suite::ShardSpec shard;
     /** Notified after each pair of a simulated sweep (live progress
      *  reporting); never invoked on full cache hits. */
-    suite::SuiteRunner::PairObserver pairObserver;
+    suite::ResultCache::Observer pairObserver;
 };
 
 /**
@@ -84,7 +78,7 @@ class Characterizer
   private:
     suite::SuiteRunner runner_;
     suite::ResultCache cache_;
-    suite::SuiteRunner::PairObserver pairObserver_;
+    suite::ResultCache::Observer pairObserver_;
     std::map<std::pair<int, int>, std::vector<suite::PairResult>> memo_;
 };
 

@@ -158,14 +158,11 @@ class CorunRunner
 
     /**
      * Runs @p groups on the ordered worker pool (CorunOptions::jobs):
-     * results in canonical order, observer commits in canonical order
-     * (indices from @p index_offset against @p total, 0 = offset +
-     * size), byte-identical at any job count.
+     * results in canonical order, byte-identical at any job count.
+     * Journaled, observed sweeps go through CorunStore::runOrLoad.
      */
     std::vector<CorunResult> runGroups(
-        const std::vector<CorunGroup> &groups,
-        const GroupObserver &observer = {},
-        std::size_t index_offset = 0, std::size_t total = 0) const;
+        const std::vector<CorunGroup> &groups) const;
 
     const CorunOptions &options() const { return options_; }
 

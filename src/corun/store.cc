@@ -91,8 +91,9 @@ CorunResultCodec::parse(const std::string &payload, std::string &reason)
     return result;
 }
 
-CorunStore::CorunStore(std::string path, bool resume)
-    : CampaignStore(std::move(path), resume)
+CorunStore::CorunStore(std::string path, bool resume,
+                       suite::ShardSpec shard)
+    : CampaignStore(std::move(path), resume, shard)
 {
 }
 
@@ -115,10 +116,9 @@ CorunStore::runOrLoad(const CorunRunner &runner,
                                      suite::configFingerprint(runner),
                                      suite::nameSetDigest("corun", names)};
     return sweep(id, suite::shardSlice(groups, shard_), observer,
-                 [&runner](const std::vector<CorunGroup> &remaining,
-                           const CorunRunner::GroupObserver &done,
-                           std::size_t offset, std::size_t total) {
-                     runner.runGroups(remaining, done, offset, total);
+                 runner.options().jobs,
+                 [&runner](const CorunGroup &group) {
+                     return runner.runGroup(group);
                  });
 }
 

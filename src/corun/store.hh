@@ -2,12 +2,10 @@
  * @file
  * Journal-backed store for co-run campaigns: the CorunResult campaign
  * of suite::CampaignStore (suite/campaign_store.hh), which owns every
- * journal rule -- a campaign header binding config fingerprint, group
- * digest and shard identity, hash-bound records in canonical group
- * order, resume prefix replay, quarantine and atomic per-group
- * commits. This file adds the journal naming
- * (`<base>.corun.<size>[.shardKofN].csv`) and the CorunResult record
- * codec. Shards merge back byte-identically with `spec17 merge`.
+ * journal rule and the one sweep loop. This file adds the journal
+ * naming (`<base>.corun.<size>[.shardKofN].csv`) and the CorunResult
+ * record codec; runOrLoad() is the loop with CorunRunner::runGroup as
+ * its work. Shards merge back byte-identically with `spec17 merge`.
  */
 
 #ifndef SPEC17_CORUN_STORE_HH_
@@ -54,8 +52,10 @@ class CorunStore : public suite::CampaignStore<CorunResultCodec>
 {
   public:
     /** @param path journal base path ("" disables persistence);
-     *  @param resume replay a partial journal instead of discarding. */
-    explicit CorunStore(std::string path, bool resume = false);
+     *  @param resume replay a partial journal instead of discarding;
+     *  @param shard the slice of the group enumeration to sweep. */
+    explicit CorunStore(std::string path, bool resume = false,
+                        suite::ShardSpec shard = {});
 
     /** Journal file for the current shard:
      *  `<base>.corun.<size>[.shardKofN].csv` ("" when disabled). */

@@ -107,13 +107,10 @@ ExploreRunner::runPoints(const std::vector<ExplorePoint> &points,
         session.observer = options_.pairObserver;
         sessions.push_back(std::move(session));
     }
-    suite::FanoutOptions fanout;
-    fanout.resume = options_.resume;
-    fanout.shard = options_.shard;
     const std::vector<std::vector<suite::PairResult>> sweeps =
         suite::runFanoutSweep(sessions,
                               workloads::suiteOf(options_.generation),
-                              options_.size, fanout);
+                              options_.size, options_);
 
     std::vector<PointResult> results;
     results.reserve(points.size());

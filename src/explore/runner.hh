@@ -29,8 +29,9 @@
 namespace spec17 {
 namespace explore {
 
-/** Explorer configuration. */
-struct ExploreOptions
+/** Explorer configuration; resume and shard apply to every point's
+ *  pair sweep. */
+struct ExploreOptions : suite::CampaignOptions
 {
     /** Base sweep options; `system` is replaced per point. */
     suite::RunnerOptions runner;
@@ -41,13 +42,8 @@ struct ExploreOptions
      *  journals to its own derived path (see pointCachePath), so
      *  resumed explorations never splice configs. */
     std::string cachePath = suite::ResultCache::defaultPath();
-    /** Resume each point's interrupted sweep from its journal. */
-    bool resume = false;
-    /** Shard each point's pair sweep (explore composes with the merge
-     *  toolchain per point). */
-    suite::ShardSpec shard;
     /** Forwarded to every point's sweep (live progress). */
-    suite::SuiteRunner::PairObserver pairObserver;
+    suite::ResultCache::Observer pairObserver;
 };
 
 /** One explored point with its accuracy/cost score. */

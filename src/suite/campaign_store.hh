@@ -20,6 +20,10 @@
  *    prefix; a failed commit (ENOSPC, an unwritable location, an
  *    injected I/O fault) demotes to warn-and-continue.
  *
+ * The one sweep loop over those journals is sweepAll(): M campaigns
+ * of one codec (a suite or co-run sweep, or the M points of an
+ * explore fan-out) share a single pass over the item slice.
+ *
  * A codec is a struct with `Record` and `Item` types (the record has
  * `name` and `replayed` members), the item noun `kUnit` for log
  * lines, `columnHeader()` (ending in `record_hash`),
@@ -32,8 +36,10 @@
 #ifndef SPEC17_SUITE_CAMPAIGN_STORE_HH_
 #define SPEC17_SUITE_CAMPAIGN_STORE_HH_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -78,6 +84,16 @@ struct CampaignIdentity
     std::string digest;
 };
 
+/** The campaign scope every sweep engine shares. */
+struct CampaignOptions
+{
+    /** Replay a partial journal instead of discarding it. */
+    bool resume = false;
+    /** The slice of the item enumeration to run, journaled to a
+     *  per-shard file that `spec17 merge` fuses back. */
+    ShardSpec shard;
+};
+
 /** Journal-backed store of one campaign type (see the file comment
  *  for the @p Codec contract). */
 template <typename Codec>
@@ -86,6 +102,11 @@ class CampaignStore
   public:
     using Record = typename Codec::Record;
     using Item = typename Codec::Item;
+
+    /** Sees each record of a sweep with its canonical index and the
+     *  slice size, in canonical order, never concurrently. */
+    using Observer = std::function<void(const Record &, std::size_t index,
+                                        std::size_t total)>;
 
     /** The journal-replayed state a sweep session starts from. */
     struct SweepPrefix
@@ -97,22 +118,114 @@ class CampaignStore
         bool complete = false;
     };
 
-    /**
-     * @param path journal base path; empty disables persistence.
-     * @param resume replay a partial journal left by an interrupted
-     *        sweep instead of discarding it.
-     */
-    CampaignStore(std::string path, bool resume)
-        : path_(std::move(path)), resume_(resume)
+    /** One campaign of a sweepAll() pass; the store is borrowed and
+     *  the observer optional. */
+    struct Campaign
+    {
+        CampaignStore *store = nullptr;
+        CampaignIdentity id;
+        Observer observer;
+    };
+
+    /** @param path journal base path; empty disables persistence.
+     *  @param resume, @p shard see CampaignOptions. */
+    CampaignStore(std::string path, bool resume, ShardSpec shard)
+        : shard_(shard), path_(std::move(path)), resume_(resume)
     {
     }
-
-    /** Restricts sweeps to one shard of the item enumeration. */
-    void setShard(ShardSpec shard) { shard_ = shard; }
 
     /** Test-only journal-I/O injection hook; borrowed pointer,
      *  nullptr in production. */
     void setIoFaults(JournalIoFaultInjector *faults) { ioFaults_ = faults; }
+
+    /**
+     * The one journaled sweep loop: every campaign sweeps @p slice (a
+     * shard's items, in canonical order). Each journal is opened and
+     * its replayed prefix reported to its observer; the ordered pool
+     * (@p jobs workers) starts at the first index any campaign still
+     * needs and calls `work(item, active)` -- `active` lists the
+     * campaigns missing that index -- for one optional Record per
+     * campaign. Fresh records are checkpointed and observed in
+     * canonical order, and incomplete journals commit loudly at the
+     * end; a complete journal gets no observer calls. Returns one
+     * record vector per campaign.
+     */
+    template <typename Work>
+    static std::vector<std::vector<Record>>
+    sweepAll(const std::vector<Campaign> &campaigns,
+             const std::vector<Item> &slice, unsigned jobs, Work work)
+    {
+        const std::size_t m = campaigns.size();
+        const std::size_t total = slice.size();
+        std::vector<std::vector<Record>> out(m);
+        std::vector<char> complete(m, 0);
+        // First index each campaign needs, fixed before the pool
+        // starts: the commit hook grows `out` while workers run.
+        std::vector<std::size_t> have(m, total);
+        std::size_t start = total;
+        for (std::size_t p = 0; p < m; ++p) {
+            const Campaign &campaign = campaigns[p];
+            SweepPrefix prefix = campaign.store->open(campaign.id, slice);
+            out[p] = std::move(prefix.rows);
+            complete[p] = prefix.complete;
+            if (prefix.complete)
+                continue;
+            have[p] = out[p].size();
+            start = std::min(start, have[p]);
+            if (campaign.observer) {
+                for (std::size_t i = 0; i < have[p]; ++i)
+                    campaign.observer(out[p][i], i, total);
+            }
+        }
+        using Row = std::vector<std::optional<Record>>;
+        runOrderedPool<Row>(
+            total - start, jobs,
+            [&](std::size_t k) {
+                std::vector<std::size_t> active;
+                for (std::size_t p = 0; p < m; ++p) {
+                    if (have[p] <= start + k)
+                        active.push_back(p);
+                }
+                return work(slice[start + k], active);
+            },
+            [&](const Row &row, std::size_t k) {
+                for (std::size_t p = 0; p < m; ++p) {
+                    if (!row[p])
+                        continue;
+                    const Campaign &campaign = campaigns[p];
+                    out[p].push_back(*row[p]);
+                    campaign.store->save(campaign.id, out[p], true);
+                    if (campaign.observer)
+                        campaign.observer(*row[p], start + k, total);
+                }
+            });
+
+        // The loud commit doubles as the failure report for
+        // unwritable journal locations.
+        for (std::size_t p = 0; p < m; ++p) {
+            if (!complete[p])
+                campaigns[p].store->save(campaigns[p].id, out[p], false);
+        }
+        return out;
+    }
+
+    /** sweepAll() for this one campaign, with `work(item)` returning
+     *  the item's Record. */
+    template <typename Work>
+    std::vector<Record> sweep(const CampaignIdentity &id,
+                              const std::vector<Item> &slice,
+                              const Observer &observer, unsigned jobs,
+                              Work work)
+    {
+        return std::move(
+            sweepAll({{this, id, observer}}, slice, jobs,
+                     [&work](const Item &item,
+                             const std::vector<std::size_t> &) {
+                         return std::vector<std::optional<Record>>{
+                             work(item)};
+                     })
+                .front());
+    }
 
   protected:
     /** `<path>.<section>[.shardKofN].csv`, or "" when persistence is
@@ -220,43 +333,7 @@ class CampaignStore
         commit(id.file, image);
     }
 
-    /**
-     * A whole sweep: open(), report the replayed prefix to
-     * @p observer, hand the remainder to
-     * `run(remaining, on_done, offset, total)` -- whose on_done
-     * calls must arrive in canonical order -- checkpoint after every
-     * completed item and commit loudly at the end. A complete journal
-     * returns at once, without observer calls.
-     */
-    template <typename Observer, typename Run>
-    std::vector<Record> sweep(const CampaignIdentity &id,
-                              const std::vector<Item> &slice,
-                              const Observer &observer, Run run)
-    {
-        SweepPrefix prefix = open(id, slice);
-        if (prefix.complete)
-            return std::move(prefix.rows);
-        std::vector<Record> results = std::move(prefix.rows);
-        if (observer) {
-            for (std::size_t i = 0; i < results.size(); ++i)
-                observer(results[i], i, slice.size());
-        }
-        const std::vector<Item> remaining(
-            slice.begin() + static_cast<std::ptrdiff_t>(results.size()),
-            slice.end());
-        run(remaining,
-            [&](const Record &result, std::size_t index,
-                std::size_t total) {
-                results.push_back(result);
-                save(id, results, /*quiet=*/true);
-                if (observer)
-                    observer(result, index, total);
-            },
-            results.size(), slice.size());
-        save(id, results, /*quiet=*/false);
-        return results;
-    }
-
+    /** The item slice this store's sweeps run and journal. */
     ShardSpec shard_;
 
   private:

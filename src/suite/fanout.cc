@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -75,16 +76,9 @@ importCloneKey(const sim::SystemConfig &system)
     return os.str();
 }
 
-/** One point's simulated cell for a single-threaded pair, run over a
- *  shared replay cursor. */
-struct Cell
-{
-    /** A fresh (non-journal) result landed this sweep. */
-    bool fresh = false;
-    PairResult result;
-};
-
-using Row = std::vector<Cell>;
+/** One pair's fresh result per session; empty for the sessions the
+ *  pair was not run for. */
+using Row = std::vector<std::optional<PairResult>>;
 
 /**
  * Bounded freelist of dead simulators whose heap buffers the next
@@ -127,26 +121,25 @@ class DonorPool
 };
 
 /**
- * Simulates @p pair for every session index in @p active, writing
- * each point's result into @p row. Cells the shared-arena path cannot
- * reproduce exactly (ineligible configurations, multi-threaded pairs,
- * malformed profiles, any cell that faults) delegate to the point's
- * own SuiteRunner::runPair, which carries the full retry/failure-
- * record semantics.
+ * Simulates @p pair for every session index in @p active and returns
+ * each point's result in its session slot. Cells the shared-arena
+ * path cannot reproduce exactly (ineligible configurations,
+ * multi-threaded pairs, malformed profiles, any cell that faults)
+ * delegate to the point's own SuiteRunner::runPair, which carries the
+ * full retry/failure-record semantics.
  */
-void
+Row
 runFanoutPair(const AppInputPair &pair,
               const std::vector<FanoutSession> &sessions,
               const std::vector<std::unique_ptr<SuiteRunner>> &runners,
-              const std::vector<std::size_t> &active, Row &row,
-              DonorPool &donors)
+              const std::vector<std::size_t> &active, DonorPool &donors)
 {
     SPEC17_ASSERT(pair.profile != nullptr, "pair without profile");
     const WorkloadProfile &profile = *pair.profile;
 
+    Row row(sessions.size());
     const auto fallback = [&](std::size_t p) {
-        row[p].fresh = true;
-        row[p].result = runners[p]->runPair(pair);
+        row[p] = runners[p]->runPair(pair);
     };
 
     // An ineligible configuration needs live generation or per-pair
@@ -160,7 +153,7 @@ runFanoutPair(const AppInputPair &pair,
         || !profile.validationError().empty()) {
         for (std::size_t p : active)
             fallback(p);
-        return;
+        return row;
     }
 
     const workloads::BuildOptions build = attemptBuildOptions(base, 0);
@@ -322,8 +315,7 @@ runFanoutPair(const AppInputPair &pair,
                 *sims[j], replays[j], warm[j], warm_cycles[j]);
             PairResult result = makePairResult(pair);
             finalizePairResult(sessions[p].runner, sim_result, result);
-            row[p].fresh = true;
-            row[p].result = std::move(result);
+            row[p] = std::move(result);
         } catch (...) {
             failed[j] = 1;
         }
@@ -339,6 +331,7 @@ runFanoutPair(const AppInputPair &pair,
     }
 
     donors.give(std::move(sims));
+    return row;
 }
 
 } // namespace
@@ -370,7 +363,7 @@ fanoutEligible(const RunnerOptions &options)
 std::vector<std::vector<PairResult>>
 runFanoutSweep(const std::vector<FanoutSession> &sessions,
                const std::vector<WorkloadProfile> &suite,
-               workloads::InputSize size, const FanoutOptions &options)
+               workloads::InputSize size, const CampaignOptions &options)
 {
     SPEC17_ASSERT(!sessions.empty(), "fan-out sweep without points");
     for (const FanoutSession &session : sessions) {
@@ -379,86 +372,34 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
                       "fan-out sessions must share one arena store");
     }
 
+    // One campaign per point (an empty cache path is a pass-through
+    // journal), swept exactly as that point's own runOrLoad would.
     const std::size_t m = sessions.size();
-    std::vector<std::vector<PairResult>> out(m);
-
-    const auto all_pairs = suite.empty()
-        ? std::vector<AppInputPair>{}
-        : enumeratePairs(suite, size);
-    const auto pairs = shardSlice(all_pairs, options.shard);
-    const std::size_t total = pairs.size();
-
-    // Per-point sweep sessions: runner, journal, replayed prefix.
-    // Each journal behaves exactly as its own runOrLoad would --
-    // complete journals contribute without observer calls, partial
-    // prefixes replay through the observer, and fresh pairs are
-    // checkpointed in canonical order as the shared pass advances.
-    // (An empty cache path is a pass-through cache.)
     std::vector<std::unique_ptr<SuiteRunner>> runners;
     std::vector<ResultCache> caches;
-    std::vector<std::size_t> have(m, 0);
-    std::vector<char> complete(m, 0);
+    std::vector<ResultCache::Campaign> campaigns;
     runners.reserve(m);
     caches.reserve(m);
-    for (std::size_t p = 0; p < m; ++p) {
-        runners.push_back(
-            std::make_unique<SuiteRunner>(sessions[p].runner));
-        caches.emplace_back(sessions[p].cachePath, options.resume);
-        caches[p].setShard(options.shard);
-        ResultCache::SweepPrefix prefix =
-            caches[p].beginSweep(*runners[p], suite, size, pairs);
-        out[p] = std::move(prefix.rows);
-        have[p] = out[p].size();
-        complete[p] = prefix.complete ? 1 : 0;
-        if (!complete[p] && sessions[p].observer) {
-            for (std::size_t i = 0; i < have[p]; ++i)
-                sessions[p].observer(out[p][i], i, total);
-        }
+    for (const FanoutSession &session : sessions) {
+        runners.push_back(std::make_unique<SuiteRunner>(session.runner));
+        caches.emplace_back(session.cachePath, options.resume,
+                            options.shard);
+        campaigns.push_back(
+            {&caches.back(), caches.back().identity(*runners.back(), suite,
+                                                    size),
+             session.observer});
     }
 
-    // The shared pass starts at the first index any point still
-    // needs; earlier indices are fully journal-covered.
-    std::size_t start = total;
-    for (std::size_t p = 0; p < m; ++p) {
-        if (!complete[p])
-            start = std::min(start, have[p]);
-    }
-    const std::size_t count = total - start;
-
+    const auto pairs = suite.empty()
+        ? std::vector<AppInputPair>{}
+        : shardSlice(enumeratePairs(suite, size), options.shard);
     DonorPool donors(m);
-    const unsigned jobs = sessions.front().runner.jobs;
-    runOrderedPool<Row>(
-        count, jobs,
-        [&](std::size_t k) {
-            const std::size_t i = start + k;
-            Row row(m);
-            std::vector<std::size_t> active;
-            for (std::size_t p = 0; p < m; ++p) {
-                if (!complete[p] && have[p] <= i)
-                    active.push_back(p);
-            }
-            if (!active.empty())
-                runFanoutPair(pairs[i], sessions, runners, active, row,
-                              donors);
-            return row;
-        },
-        [&](const Row &row, std::size_t k) {
-            const std::size_t i = start + k;
-            for (std::size_t p = 0; p < m; ++p) {
-                if (!row[p].fresh)
-                    continue;
-                out[p].push_back(row[p].result);
-                caches[p].checkpoint(*runners[p], suite, size, out[p]);
-                if (sessions[p].observer)
-                    sessions[p].observer(row[p].result, i, total);
-            }
+    return ResultCache::sweepAll(
+        campaigns, pairs, sessions.front().runner.jobs,
+        [&](const AppInputPair &pair,
+            const std::vector<std::size_t> &active) {
+            return runFanoutPair(pair, sessions, runners, active, donors);
         });
-
-    for (std::size_t p = 0; p < m; ++p) {
-        if (!complete[p])
-            caches[p].finish(*runners[p], suite, size, out[p]);
-    }
-    return out;
 }
 
 } // namespace suite

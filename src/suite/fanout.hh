@@ -16,6 +16,10 @@
  *    pair donate their page-faulted heap buffers to the next pair's
  *    constructions (the recycle parameter).
  *
+ * Each design point is one campaign of the shared sweep loop
+ * (CampaignStore::sweepAll), which journals it; the per-pair lockstep
+ * pass is that loop's per-item work.
+ *
  * Identity by construction: every cell reuses the runner's own
  * derivations (attemptBuildOptions, pairSimSeed, prefillSteadyState,
  * finalizePairResult) and replay is draw-for-draw identical to live
@@ -56,16 +60,7 @@ struct FanoutSession
     /** Notified after each of this point's pairs, in canonical order
      *  (journal-replayed prefix rows included, exactly as
      *  ResultCache::runOrLoad reports them). */
-    SuiteRunner::PairObserver observer;
-};
-
-/** Sweep-wide execution knobs shared by every session. */
-struct FanoutOptions
-{
-    /** Resume each point from its partial journal. */
-    bool resume = false;
-    /** Shard slice of the pair cross-product (shared by all points). */
-    ShardSpec shard;
+    ResultCache::Observer observer;
 };
 
 /**
@@ -82,16 +77,16 @@ bool fanoutEligible(const RunnerOptions &options);
 /**
  * Runs every pair of (@p suite, @p size) across all @p sessions,
  * pair-major: per pair, the arena is acquired once and all points
- * simulate it in lockstep chunks. Returns one result vector per
- * session, in session order, each byte-equivalent to that session's
- * ResultCache::runOrLoad (journals included, at any job count).
- * Sessions must be non-empty and agree on every non-system runner
- * knob.
+ * simulate it in lockstep chunks. The sessions are the campaigns of
+ * one ResultCache::sweepAll pass under @p options, so each result
+ * vector (one per session, in order) is byte-equivalent to that
+ * session's ResultCache::runOrLoad at any job count. Sessions must be
+ * non-empty and agree on every non-system runner knob.
  */
 std::vector<std::vector<PairResult>> runFanoutSweep(
     const std::vector<FanoutSession> &sessions,
     const std::vector<workloads::WorkloadProfile> &suite,
-    workloads::InputSize size, const FanoutOptions &options = {});
+    workloads::InputSize size, const CampaignOptions &options = {});
 
 /**
  * Clone-group key of @p hierarchy: serializes every field that

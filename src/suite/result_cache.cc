@@ -93,8 +93,8 @@ PairResultCodec::serialize(const PairResult &r)
     return out.str();
 }
 
-ResultCache::ResultCache(std::string path, bool resume)
-    : CampaignStore(std::move(path), resume)
+ResultCache::ResultCache(std::string path, bool resume, ShardSpec shard)
+    : CampaignStore(std::move(path), resume, shard)
 {
 }
 
@@ -167,17 +167,15 @@ std::vector<PairResult>
 ResultCache::runOrLoad(const SuiteRunner &runner,
                        const std::vector<WorkloadProfile> &suite,
                        InputSize size,
-                       const SuiteRunner::PairObserver &observer)
+                       const Observer &observer)
 {
     const auto pairs = suite.empty()
         ? std::vector<workloads::AppInputPair>{}
         : shardSlice(enumeratePairs(suite, size), shard_);
     return sweep(identity(runner, suite, size), pairs, observer,
-                 [&runner](const std::vector<workloads::AppInputPair>
-                               &remaining,
-                           const SuiteRunner::PairObserver &done,
-                           std::size_t offset, std::size_t total) {
-                     runner.runPairs(remaining, done, offset, total);
+                 runner.options().jobs,
+                 [&runner](const workloads::AppInputPair &pair) {
+                     return runner.runPair(pair);
                  });
 }
 

@@ -3,8 +3,11 @@
  * On-disk cache of suite-run results, doubling as a crash-safe,
  * self-validating sweep journal: the PairResult campaign of
  * CampaignStore (suite/campaign_store.hh), which owns every journal
- * rule. This file adds the journal naming and the PairResult record
- * codec. Shard journals of one campaign merge into the unsharded
+ * rule and the one sweep loop. This file adds the journal naming,
+ * the campaign identity and the PairResult record codec; runOrLoad()
+ * is the loop with SuiteRunner::runPair as its work, and the fan-out
+ * engine (suite/fanout.hh) sweeps one ResultCache per design point.
+ * Shard journals of one campaign merge into the unsharded
  * journal byte-identically via `spec17 merge` (suite/journal.hh).
  */
 
@@ -52,8 +55,10 @@ class ResultCache : public CampaignStore<PairResultCodec>
 {
   public:
     /** @param path journal base path ("" disables persistence);
-     *  @param resume replay a partial journal instead of discarding. */
-    explicit ResultCache(std::string path, bool resume = false);
+     *  @param resume replay a partial journal instead of discarding;
+     *  @param shard the slice of each pair enumeration to sweep. */
+    explicit ResultCache(std::string path, bool resume = false,
+                         ShardSpec shard = {});
 
     /** Default cache location: $SPEC17_CACHE or spec17_results. */
     static std::string defaultPath();
@@ -77,12 +82,19 @@ class ResultCache : public CampaignStore<PairResultCodec>
         const SuiteRunner &runner,
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size,
-        const SuiteRunner::PairObserver &observer = {});
+        const Observer &observer = {});
+
+    /** What binds (@p suite, @p size) under @p runner to its journal
+     *  (the campaign sweepAll() opens). */
+    CampaignIdentity identity(
+        const SuiteRunner &runner,
+        const std::vector<workloads::WorkloadProfile> &suite,
+        workloads::InputSize size) const;
 
     /**
      * @name Sweep-session seam
-     * runOrLoad() decomposed for engines that interleave many sweeps
-     * (suite/fanout.hh): beginSweep() once over the shard's pairs in
+     * runOrLoad() decomposed for callers that drive the journal
+     * themselves: beginSweep() once over the shard's pairs in
      * canonical order, checkpoint() after each newly completed pair,
      * finish() at the end -- the same journal bytes as runOrLoad().
      */
@@ -105,12 +117,6 @@ class ResultCache : public CampaignStore<PairResultCodec>
     /** Drops everything persisted at this path (current shard's
      *  files included). */
     void invalidate();
-
-  private:
-    CampaignIdentity identity(
-        const SuiteRunner &runner,
-        const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size) const;
 };
 
 } // namespace suite

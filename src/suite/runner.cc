@@ -598,35 +598,16 @@ std::vector<PairResult>
 SuiteRunner::runAll(const std::vector<WorkloadProfile> &suite,
                     workloads::InputSize size) const
 {
-    return runAll(suite, size, PairObserver());
+    return runPairs(enumeratePairs(suite, size));
 }
 
 std::vector<PairResult>
-SuiteRunner::runAll(const std::vector<WorkloadProfile> &suite,
-                    workloads::InputSize size,
-                    const PairObserver &observer) const
+SuiteRunner::runPairs(const std::vector<AppInputPair> &pairs) const
 {
-    return runPairs(enumeratePairs(suite, size), observer);
-}
-
-std::vector<PairResult>
-SuiteRunner::runPairs(const std::vector<AppInputPair> &pairs,
-                      const PairObserver &observer,
-                      std::size_t index_offset, std::size_t total) const
-{
-    if (total == 0)
-        total = index_offset + pairs.size();
-    // The ordered pool commits completed pairs to the observer
-    // strictly in canonical index order, which is what lets the
-    // result cache journal a valid prefix mid-sweep and keeps
-    // progress/journal output byte-compatible with a sequential run.
     return runOrderedPool<PairResult>(
         pairs.size(), options_.jobs,
         [&](std::size_t i) { return runPair(pairs[i]); },
-        [&](const PairResult &result, std::size_t i) {
-            if (observer)
-                observer(result, index_offset + i, total);
-        });
+        [](const PairResult &, std::size_t) {});
 }
 
 } // namespace suite

@@ -14,7 +14,6 @@
 #define SPEC17_SUITE_RUNNER_HH_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -417,11 +416,6 @@ void finalizePairResult(const RunnerOptions &options,
 class SuiteRunner
 {
   public:
-    /** Called after each pair of a sweep completes (observer gets the
-     *  result plus the pair's index and the sweep size). */
-    using PairObserver = std::function<void(
-        const PairResult &, std::size_t index, std::size_t total)>;
-
     explicit SuiteRunner(RunnerOptions options = {});
 
     /** Runs a single pair inside the failure boundary; never throws
@@ -433,31 +427,14 @@ class SuiteRunner
         const std::vector<workloads::WorkloadProfile> &suite,
         workloads::InputSize size) const;
 
-    /** runAll() variant notifying @p observer after each pair, which
-     *  is how the result cache journals completed pairs. */
-    std::vector<PairResult> runAll(
-        const std::vector<workloads::WorkloadProfile> &suite,
-        workloads::InputSize size, const PairObserver &observer) const;
-
     /**
      * Runs @p pairs through the worker pool (RunnerOptions::jobs;
      * 1 = sequential on the calling thread) and returns results in
-     * pair order regardless of completion order: each worker pulls
-     * the next pair index from a shared counter and stores its result
-     * into the pre-sized slot for that pair.
-     *
-     * @p observer is invoked in canonical pair order -- a completed
-     * pair is held back until every earlier pair has been delivered
-     * (lowest-uncommitted-index drain) -- and never concurrently, so
-     * journaling through it always extends a valid prefix. Observer
-     * indices run from @p index_offset; @p total is the sweep size
-     * reported to the observer (0 = index_offset + pairs.size()),
-     * letting a resumed sweep report progress against the full sweep.
+     * pair order regardless of completion order. Journaled, observed
+     * sweeps go through ResultCache::runOrLoad.
      */
     std::vector<PairResult> runPairs(
-        const std::vector<workloads::AppInputPair> &pairs,
-        const PairObserver &observer = {}, std::size_t index_offset = 0,
-        std::size_t total = 0) const;
+        const std::vector<workloads::AppInputPair> &pairs) const;
 
     const RunnerOptions &options() const { return options_; }
 

@@ -193,18 +193,7 @@ TEST(CorunRunner, SweepIsByteIdenticalAcrossJobCounts)
     CorunRunner sequential(fastOptions(1));
     CorunRunner parallel(fastOptions(8));
     const auto golden = sequential.runGroups(groups);
-    std::vector<std::size_t> seen;
-    const auto pooled = parallel.runGroups(
-        groups,
-        [&](const CorunResult &, std::size_t index, std::size_t) {
-            seen.push_back(index);
-        });
-    expectResultsIdentical(golden, pooled);
-    // The ordered-commit drain delivers observer calls canonically
-    // even at jobs=8.
-    ASSERT_EQ(seen.size(), groups.size());
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], i);
+    expectResultsIdentical(golden, parallel.runGroups(groups));
 
     // And the journal bytes match record for record.
     const std::string seq_base = tempBase("jobs_seq");
@@ -215,7 +204,19 @@ TEST(CorunRunner, SweepIsByteIdenticalAcrossJobCounts)
     const std::string par_base = tempBase("jobs_par");
     CorunStore par_store(par_base);
     par_store.invalidate();
-    par_store.runOrLoad(parallel, groups);
+    std::vector<std::size_t> seen;
+    expectResultsIdentical(
+        golden,
+        par_store.runOrLoad(
+            parallel, groups,
+            [&](const CorunResult &, std::size_t index, std::size_t) {
+                seen.push_back(index);
+            }));
+    // The ordered-commit drain delivers observer calls canonically
+    // even at jobs=8.
+    ASSERT_EQ(seen.size(), groups.size());
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i);
 
     const std::string seq_bytes =
         fileBytes(seq_store.journalFile(sequential));

@@ -17,6 +17,7 @@
 
 #include "core/characterizer.hh"
 #include "suite/arena_store.hh"
+#include "suite/fanout.hh"
 #include "util/atomic_file.hh"
 #include "util/units.hh"
 
@@ -285,6 +286,105 @@ TEST(ExploreGolden, TableIsIdenticalAcrossMidSweepResume)
     expectSameTable(baseline,
                     ExploreRunner(resumed).runAxis("way-predictor"));
 
+    for (const std::string &journal : journals)
+        std::remove(journal.c_str());
+}
+
+/** The first two lines (campaign header, column header) plus the
+ *  first @p records records of @p journal. */
+std::string
+journalPrefix(const std::string &journal, std::size_t records)
+{
+    std::size_t end = 0;
+    for (std::size_t line = 0; line < records + 2; ++line)
+        end = journal.find('\n', end) + 1;
+    return journal.substr(0, end);
+}
+
+TEST(ExploreGolden, StaggeredPrefixesResumeThroughOneSweep)
+{
+    // Three points interrupted at different depths -- no records, k
+    // records, complete -- resume through one shared pass that starts
+    // at the shallowest prefix and runs each pair only for the points
+    // still missing it.
+    const std::string base =
+        std::string(::testing::TempDir()) + "/explore_staggered";
+    ExploreOptions journaled = tinyOptions();
+    journaled.cachePath = base;
+    const ExploreRunner explorer(journaled);
+    const auto baseline = explorer.runAxis("way-predictor");
+    const auto points = planAxis("way-predictor", journaled.runner.system);
+    ASSERT_EQ(points.size(), 3u);
+    std::vector<std::string> journals, golden;
+    for (const auto &point : points) {
+        journals.push_back(explorer.pointCachePath(point)
+                           + ".cpu2006.test.csv");
+        std::string bytes;
+        ASSERT_TRUE(readFile(journals.back(), bytes)) << journals.back();
+        golden.push_back(bytes);
+    }
+    const std::size_t total = baseline.front().pairs
+        + baseline.front().errored;
+    const std::vector<std::size_t> prefix = {0, 11, total};
+
+    struct Seen
+    {
+        std::size_t index, total;
+        bool replayed;
+    };
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+        for (std::size_t p = 0; p < points.size(); ++p)
+            ASSERT_TRUE(writeFileAtomic(
+                journals[p], journalPrefix(golden[p], prefix[p])));
+
+        suite::TraceArenaStore store(512 * kMiB);
+        std::vector<std::vector<Seen>> seen(points.size());
+        std::vector<suite::FanoutSession> sessions;
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            suite::FanoutSession session;
+            session.runner = journaled.runner;
+            session.runner.system = points[p].system;
+            session.runner.jobs = jobs;
+            session.runner.arenaStore = &store;
+            session.cachePath = explorer.pointCachePath(points[p]);
+            session.observer = [&seen, p](const suite::PairResult &row,
+                                          std::size_t index,
+                                          std::size_t count) {
+                seen[p].push_back({index, count, row.replayed});
+            };
+            sessions.push_back(std::move(session));
+        }
+        suite::CampaignOptions campaign;
+        campaign.resume = true;
+        const auto sweeps = suite::runFanoutSweep(
+            sessions, workloads::suiteOf(journaled.generation),
+            journaled.size, campaign);
+
+        std::vector<PointResult> table;
+        for (std::size_t p = 0; p < points.size(); ++p)
+            table.push_back(
+                ExploreRunner::scorePoint(points[p], sweeps[p]));
+        markPareto(table);
+        expectSameTable(baseline, table);
+
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            std::string bytes;
+            EXPECT_TRUE(readFile(journals[p], bytes)) << journals[p];
+            EXPECT_EQ(bytes, golden[p]) << journals[p];
+            // A complete journal is a hit: no observer calls. Every
+            // other point sees each index once, in order, replayed
+            // exactly within its journal prefix.
+            const std::size_t calls = prefix[p] == total ? 0 : total;
+            ASSERT_EQ(seen[p].size(), calls) << "point " << p;
+            for (std::size_t i = 0; i < calls; ++i) {
+                EXPECT_EQ(seen[p][i].index, i) << "point " << p;
+                EXPECT_EQ(seen[p][i].total, total) << "point " << p;
+                EXPECT_EQ(seen[p][i].replayed, i < prefix[p])
+                    << "point " << p << " index " << i;
+            }
+        }
+    }
     for (const std::string &journal : journals)
         std::remove(journal.c_str());
 }

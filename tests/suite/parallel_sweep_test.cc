@@ -165,8 +165,9 @@ TEST(ParallelSweep, ObserverSeesCanonicalOrderUnderParallelism)
     SuiteRunner runner(fastOptions(8));
     std::vector<std::string> seen_names;
     std::vector<std::size_t> seen_indices;
-    const auto results = runner.runAll(
-        workloads::cpu2006Suite(), InputSize::Test,
+    // An empty path is a pass-through cache: every pair simulates.
+    const auto results = ResultCache("").runOrLoad(
+        runner, workloads::cpu2006Suite(), InputSize::Test,
         [&](const PairResult &result, std::size_t index,
             std::size_t total) {
             // The ordered-commit drain serializes observer calls, so

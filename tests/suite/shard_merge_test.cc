@@ -119,8 +119,7 @@ template <typename Store>
 Store
 openStore(const std::string &base, const StoreSetup &setup)
 {
-    Store store(base, setup.resume);
-    store.setShard(setup.shard);
+    Store store(base, setup.resume, setup.shard);
     store.setIoFaults(setup.faults);
     return store;
 }
@@ -178,8 +177,7 @@ campaigns()
                 runner, workloads::cpu2006Suite(), InputSize::Test));
         },
         [](const std::string &base, ShardSpec shard) {
-            ResultCache cache(base);
-            cache.setShard(shard);
+            ResultCache cache(base, false, shard);
             return cache.journalFile(workloads::cpu2006Suite(),
                                      InputSize::Test);
         }};
@@ -193,8 +191,7 @@ campaigns()
                 store.runOrLoad(runner, corunGroups()));
         },
         [](const std::string &base, ShardSpec shard) {
-            corun::CorunStore store(base);
-            store.setShard(shard);
+            corun::CorunStore store(base, false, shard);
             return store.journalFile(corun::CorunRunner(corunOptions(1)));
         }};
     return {suite_sweep, corun_sweep};

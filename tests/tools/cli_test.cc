@@ -241,6 +241,85 @@ TEST(CliRun, UnknownFlagIsRejected)
     EXPECT_NE(out2.str().find("usage:"), std::string::npos);
 }
 
+TEST(CliRun, CorunRejectsSuiteRunnerOnlyFlags)
+{
+    // corun reads only --jobs and the system knobs of the runner
+    // flags: lane and fault-isolation flags would be silent no-ops.
+    for (const char *flag : {"--unbatched-stepping", "--batch-ops=7",
+                             "--retries=3", "--pair-deadline=50000"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parse({"corun", "--size=test",
+                                    "--apps=505.mcf_r", "--no-cache",
+                                    "--sample=2000", "--warmup=500",
+                                    flag}),
+                             out, err),
+                  2)
+            << flag;
+        EXPECT_NE(err.str().find("does not apply to corun"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str(), "") << flag;
+    }
+}
+
+TEST(CliRun, TelemetryFlagsApplyOnlyWhereSeriesAreWritten)
+{
+    // Only stat and characterize write interval series; corun and
+    // explore would accept the flags and write nothing.
+    const std::string dir =
+        std::string(::testing::TempDir()) + "/cli_no_telemetry";
+    const std::string out_flag = "--telemetry-out=" + dir;
+    std::ostringstream out, err;
+    EXPECT_EQ(runCommand(parse({"corun", "--size=test",
+                                "--apps=505.mcf_r", "--no-cache",
+                                "--sample=2000", "--warmup=500",
+                                out_flag.c_str()}),
+                         out, err),
+              2);
+    EXPECT_NE(err.str().find("--telemetry-out does not apply to corun"),
+              std::string::npos)
+        << err.str();
+
+    std::ostringstream out2, err2;
+    EXPECT_EQ(runCommand(parse({"explore", "--axis=way-predictor",
+                                "--suite=cpu2006", "--size=test",
+                                "--sample=2000", "--warmup=500",
+                                "--no-cache", out_flag.c_str(),
+                                "--sample-interval-ops=500"}),
+                         out2, err2),
+              2);
+    EXPECT_NE(err2.str().find("does not apply to explore"),
+              std::string::npos)
+        << err2.str();
+    std::ifstream probe(dir);
+    EXPECT_FALSE(probe.good()) << dir << " was created";
+}
+
+TEST(CliRun, UsageListsTheVerbsOfEachFlagGroup)
+{
+    // The verb lists are flagTable() data, rendered into --help, and
+    // the same data rejects a flag on any other verb.
+    const std::string text = usage();
+    EXPECT_NE(text.find("telemetry (stat, characterize):"),
+              std::string::npos);
+    EXPECT_NE(text.find("campaign flags (characterize, corun, explore):"),
+              std::string::npos);
+    for (const FlagSpec &spec : flagTable()) {
+        if (spec.verbs[0] != '\0')
+            EXPECT_NE(text.find(std::string(spec.group) + " ("
+                                + spec.verbs + "):"),
+                      std::string::npos)
+                << spec.name;
+    }
+    std::ostringstream out, err;
+    EXPECT_EQ(runCommand(parse({"subset", "--resume", "--no-cache"}),
+                         out, err),
+              2);
+    EXPECT_NE(err.str().find("--resume does not apply to subset"),
+              std::string::npos)
+        << err.str();
+}
+
 TEST(CliRun, SampleBelowTheRunnerFloorIsRejected)
 {
     // A contained usage error (exit 2), not an assertion abort inside

@@ -206,10 +206,10 @@ telemetrySinkOf(const CommandLine &command)
  */
 struct CampaignOptions
 {
+    /** --resume and --shard. */
+    suite::CampaignOptions scope;
     /** Journal base path; empty with --no-cache. */
     std::string cachePath;
-    bool resume = false;
-    suite::ShardSpec shard;
     /** sweep_progress reporter (shard-labelled); null without
      *  --progress. */
     std::unique_ptr<telemetry::ProgressReporter> progress;
@@ -221,18 +221,18 @@ campaignOptionsOf(const CommandLine &command)
     CampaignOptions campaign;
     if (!command.hasFlag("no-cache"))
         campaign.cachePath = suite::ResultCache::defaultPath();
-    campaign.resume = command.hasFlag("resume");
+    campaign.scope.resume = command.hasFlag("resume");
     if (command.hasFlag("shard")) {
         const auto shard = suite::ShardSpec::parse(command.flag("shard"));
         if (!shard)
             usageError("--shard wants K/N with 1 <= K <= N, got '",
                        command.flag("shard"), "'");
-        campaign.shard = *shard;
+        campaign.scope.shard = *shard;
     }
     if (command.hasFlag("progress")) {
         telemetry::ProgressReporter::Options options;
-        if (campaign.shard.active())
-            options.shardLabel = campaign.shard.label();
+        if (campaign.scope.shard.active())
+            options.shardLabel = campaign.scope.shard.label();
         campaign.progress =
             std::make_unique<telemetry::ProgressReporter>(options);
     }
@@ -240,7 +240,7 @@ campaignOptionsOf(const CommandLine &command)
 }
 
 /** Reports each completed pair of a sweep to @p progress. */
-suite::SuiteRunner::PairObserver
+suite::ResultCache::Observer
 pairProgress(telemetry::ProgressReporter &progress)
 {
     return [&progress](const suite::PairResult &result,
@@ -527,9 +527,8 @@ cmdCharacterize(const CommandLine &command, std::ostream &out, std::ostream &)
     const auto arena_store = arenaStoreOf(command);
     options.runner.arenaStore = arena_store.get();
     const CampaignOptions campaign = campaignOptionsOf(command);
+    static_cast<suite::CampaignOptions &>(options) = campaign.scope;
     options.cachePath = campaign.cachePath;
-    options.resume = campaign.resume;
-    options.shard = campaign.shard;
     if (campaign.progress)
         options.pairObserver = pairProgress(*campaign.progress);
     core::Characterizer session(options);
@@ -645,8 +644,8 @@ cmdCorun(const CommandLine &command, std::ostream &out,
 
     const CampaignOptions campaign = campaignOptionsOf(command);
     corun::CorunRunner runner(options);
-    corun::CorunStore store(campaign.cachePath, campaign.resume);
-    store.setShard(campaign.shard);
+    corun::CorunStore store(campaign.cachePath, campaign.scope.resume,
+                            campaign.scope.shard);
     corun::CorunRunner::GroupObserver observer;
     if (campaign.progress) {
         observer = [&progress = *campaign.progress](
@@ -867,9 +866,8 @@ cmdExplore(const CommandLine &command, std::ostream &out,
             usageError(plan_error);
     }
     const CampaignOptions campaign = campaignOptionsOf(command);
+    static_cast<suite::CampaignOptions &>(options) = campaign.scope;
     options.cachePath = campaign.cachePath;
-    options.resume = campaign.resume;
-    options.shard = campaign.shard;
     if (campaign.progress)
         options.pairObserver = pairProgress(*campaign.progress);
 
@@ -1102,14 +1100,20 @@ cmdPhases(const CommandLine &command, std::ostream &out, std::ostream &)
 void
 validateFlags(const CommandLine &command)
 {
-    // A typo'd flag is a loud error, not a silently ignored no-op.
+    // A typo'd flag -- or one the verb never reads -- is a loud
+    // error, not a silently ignored no-op.
     for (const auto &[name, value] : command.flags) {
-        const bool known = std::any_of(
+        const auto spec = std::find_if(
             flagTable().begin(), flagTable().end(),
-            [&name](const FlagSpec &spec) { return name == spec.name; });
-        if (!known)
+            [&name](const FlagSpec &flag) { return name == flag.name; });
+        if (spec == flagTable().end())
             usageError("unknown flag '--", name,
                        "' (see spec17 --help for the accepted flags)");
+        const std::string verbs = std::string(", ") + spec->verbs + ",";
+        if (*spec->verbs != '\0'
+            && verbs.find(", " + command.command + ",") == std::string::npos)
+            usageError("--", name, " does not apply to ", command.command,
+                       " (only to ", spec->verbs, ")");
     }
     // The runners refuse samples too short to be meaningful.
     if (command.hasFlag("sample")
@@ -1236,20 +1240,33 @@ flagTable()
 {
     // Single source of truth for the accepted flag set: usage()
     // renders this table and runCommand() validates against it. A
-    // group renders once per contiguous run of its label.
-    static const char *const kCommon = "common flags";
-    static const char *const kFaults = "fault isolation (characterize)";
-    static const char *const kTelemetry = "telemetry (stat, characterize)";
-    static const char *const kCampaign =
-        "campaign flags (characterize, corun, explore)";
-    static const char *const kLanes = "batched hot path (stat, characterize)";
-    static const char *const kJournals = "sharded campaigns (merge, fsck)";
-    static const char *const kCorun = "co-run interference (corun)";
-    static const char *const kUarch =
-        "uarch mechanisms (stat, characterize, corun, explore)";
-    static const char *const kExplore = "design-space exploration (explore)";
-    static const char *const kArena =
-        "trace capture/replay (stat, characterize, explore, corun)";
+    // group renders once per contiguous run of its label, and lists
+    // the verbs whose code reads its flags ("" = every verb): the
+    // SuiteRunner verbs read the whole RunnerOptions, corun only its
+    // jobs and system, and the system knobs reach every
+    // runnerOptionsOf() caller.
+    static const char *const kPairRunners =
+        "stat, validate, characterize, subset, explore";
+    static const FlagGroup kCommon{"common flags", ""};
+    static const FlagGroup kFaults{"fault isolation", kPairRunners};
+    static const FlagGroup kTelemetry{"telemetry", "stat, characterize"};
+    static const FlagGroup kCampaign{"campaign flags",
+                                     "characterize, corun, explore"};
+    static const FlagGroup kParallel{
+        "parallel execution", "characterize, subset, corun, explore"};
+    static const FlagGroup kExport{"record export", "corun, explore"};
+    static const FlagGroup kLanes{"batched hot path", kPairRunners};
+    static const FlagGroup kMerge{"sharded campaigns", "merge"};
+    static const FlagGroup kFsck{"journal repair", "fsck"};
+    static const FlagGroup kCorun{"co-run interference", "corun"};
+    static const FlagGroup kUarch{
+        "uarch mechanisms",
+        "config, stat, validate, replay, characterize, subset, corun, "
+        "explore, phases"};
+    static const FlagGroup kExplore{"design-space exploration",
+                                    "explore"};
+    static const FlagGroup kArena{"trace capture/replay",
+                                  "stat, characterize, corun, explore"};
     static const std::vector<FlagSpec> table = {
         {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
          kCommon},
@@ -1286,10 +1303,6 @@ flagTable()
          "series file format (default csv)", kTelemetry},
         {"resume", "", "resume an interrupted sweep from the journal",
          kCampaign},
-        {"jobs", "N",
-         "worker threads for parallel execution (default 1; "
-         "0=hardware concurrency); results are byte-identical at any N",
-         kCampaign},
         {"progress", "",
          "throttled sweep_progress events on stderr (item k/N, ops/s, "
          "ETA)",
@@ -1298,9 +1311,12 @@ flagTable()
          "run shard K of N of the sweep; journals to a per-shard file, "
          "fuse with `spec17 merge`",
          kCampaign},
-        {"export-jsonl", "FILE",
-         "write one JSON record per group/point (corun, explore)",
-         kCampaign},
+        {"jobs", "N",
+         "worker threads for parallel execution (default 1; "
+         "0=hardware concurrency); results are byte-identical at any N",
+         kParallel},
+        {"export-jsonl", "FILE", "write one JSON record per group/point",
+         kExport},
         {"batch-ops", "N",
          "fast-lane micro-op batch size (default 256); results are "
          "byte-identical at any N >= 1",
@@ -1310,12 +1326,12 @@ flagTable()
          "(identity debugging; slow)",
          kLanes},
         {"allow-partial", "",
-         "merge: keep the contiguous record prefix when shards are "
+         "keep the contiguous record prefix when shards are "
          "missing or partial",
-         kJournals},
+         kMerge},
         {"repair", "",
-         "fsck: atomically drop the damaged suffix of corrupt journals",
-         kJournals},
+         "atomically drop the damaged suffix of corrupt journals",
+         kFsck},
         {"apps", "A,B,...",
          "applications to co-run (default: a 4-app demo subset)", kCorun},
         {"quartets", "", "4-app groups instead of pairs", kCorun},
@@ -1406,6 +1422,8 @@ usage()
             group = flag.group;
             text += "\n";
             text += group;
+            if (*flag.verbs != '\0')
+                text += std::string(" (") + flag.verbs + ")";
             text += ":\n";
         }
         std::string left = "  --" + std::string(flag.name);

@@ -55,18 +55,35 @@ CommandLine parseCommandLine(int argc, const char *const *argv);
 int runCommand(const CommandLine &command, std::ostream &out,
                std::ostream &err);
 
+/** A usage section of flags and the verbs whose code reads them. */
+struct FlagGroup
+{
+    const char *label;
+    /** ", "-separated verbs; "" = every verb. */
+    const char *verbs;
+};
+
 /**
  * One accepted `--flag` of the CLI. The table below is the single
  * source of truth: usage() renders it and runCommand() validates
- * parsed flags against it, so help text and the accepted flag set
+ * parsed flags against it -- the name must be known and the verb
+ * among its group's verbs -- so help text and the accepted flag set
  * cannot drift apart.
  */
 struct FlagSpec
 {
+    FlagSpec(const char *name, const char *placeholder, const char *help,
+             const FlagGroup &group)
+        : name(name), placeholder(placeholder), help(help),
+          group(group.label), verbs(group.verbs)
+    {
+    }
+
     const char *name;        //!< without the leading "--"
     const char *placeholder; //!< value placeholder, "" for booleans
     const char *help;        //!< one-line description
     const char *group;       //!< usage section this flag renders under
+    const char *verbs;       //!< FlagGroup::verbs of that section
 };
 
 /** Every flag the CLI accepts, in usage() rendering order. */
