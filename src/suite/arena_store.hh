@@ -5,14 +5,15 @@
  * configuration.
  *
  * The first acquire() of a (profile, seed, trace-config) captures the
- * generated stream into an arena; subsequent acquires -- other design
- * points of a multi-point sweep, the co-run engine's repeated solo
- * baselines, retries at the same seed -- replay it instead of
- * regenerating. Resident arenas live under a byte budget with
- * least-recently-used eviction; an optional spill directory persists
- * every captured arena in the versioned S17A format (atomic
- * temp+rename), so evicted or cross-run arenas reload instead of
- * recapturing.
+ * generated stream into an arena; subsequent acquires -- later
+ * sweeps of a multi-point fan-out sharing the store, the co-run
+ * engine's repeated solo baselines and groups -- replay it instead
+ * of regenerating. Only those two engines acquire: a single-point
+ * SuiteRunner uses each stream once and always generates live.
+ * Resident arenas live under a byte budget with least-recently-used
+ * eviction; an optional spill directory persists every captured arena
+ * in the versioned S17A format (atomic temp+rename), so evicted or
+ * cross-run arenas reload instead of recapturing.
  *
  * Replay is observation-equivalent to live generation (pinned by the
  * arena golden tests), so whether a store is attached -- and its

@@ -146,8 +146,8 @@ runFanoutPair(const AppInputPair &pair,
     // hooks the lockstep pass does not run. The multicore
     // interleaver's chunk schedule shapes shared-L3 contention; it
     // runs per point. A malformed profile is a contained per-point
-    // failure. All take the ordinary path (an attached arena store
-    // still deduplicates their trace captures).
+    // failure. All take the ordinary path, which generates each
+    // point's stream live.
     const RunnerOptions &base = sessions[active.front()].runner;
     if (!fanoutEligible(base) || profile.numThreads > 1
         || !profile.validationError().empty()) {

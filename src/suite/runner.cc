@@ -10,9 +10,7 @@
 
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
-#include "suite/arena_store.hh"
 #include "telemetry/registry.hh"
-#include "trace/arena.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -348,14 +346,6 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                             options_.pairDeadlineMs);
     bool cancelled = false;
 
-    // Replay eligibility: the watchdog's cooperative cancel must act
-    // DURING trace generation -- a fault-injected runaway captured to
-    // completion would defeat it -- so replay stands down whenever the
-    // fault layer or a per-attempt deadline is armed.
-    const bool replay_eligible = options_.arenaStore != nullptr
-        && options_.faultInjector == nullptr
-        && options_.pairDeadlineOps == 0 && options_.pairDeadlineMs == 0;
-
     sim::SimResult sim_result;
     if (profile.numThreads > 1) {
         // The multicore interleaver runs to completion in one call, so
@@ -363,10 +353,8 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         // known total; cooperative cancellation still bounds the
         // generators if the budget trips after the fact.
         watchdog.check(build.sampleOps, cancelled);
-        std::vector<std::shared_ptr<trace::TraceSource>> sources;
         std::vector<std::shared_ptr<trace::SyntheticTraceGenerator>>
             generators;
-        std::vector<std::shared_ptr<trace::ReplaySource>> replays;
         sim::MulticoreSimulator multicore(options_.system,
                                           profile.numThreads, pair_seed);
         for (unsigned t = 0; t < profile.numThreads; ++t) {
@@ -374,23 +362,11 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             if (options_.batchOps != 0)
                 core.setBatchOps(options_.batchOps);
             core.setUnbatchedStepping(options_.unbatchedStepping);
-            // The generator is constructed even under replay: prefill
-            // reads its region layout without consuming ops, so the
-            // replayed stream still lands on warm caches.
             auto gen = std::make_shared<trace::SyntheticTraceGenerator>(
                 workloads::buildTraceParams(pair, build, t));
             gen->setCancelFlag(&cancelled);
             prefillSteadyState(multicore.mutableCore(t), *gen);
-            generators.push_back(gen);
-            if (replay_eligible) {
-                auto replay = std::make_shared<trace::ReplaySource>(
-                    options_.arenaStore->acquire(gen->params()));
-                replay->setCancelFlag(&cancelled);
-                replays.push_back(replay);
-                sources.push_back(std::move(replay));
-            } else {
-                sources.push_back(gen);
-            }
+            generators.push_back(std::move(gen));
         }
 
         // Interval telemetry, coarse mode: the interleaver's chunk
@@ -406,15 +382,9 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             registry = std::make_unique<telemetry::MetricsRegistry>();
             telemetry::registerMulticoreMetrics(*registry, multicore);
             for (unsigned t = 0; t < profile.numThreads; ++t) {
-                const std::string prefix =
-                    "core" + std::to_string(t) + ".";
-                if (replay_eligible) {
-                    telemetry::registerTraceMetrics(
-                        *registry, *replays[t], prefix);
-                } else {
-                    telemetry::registerTraceMetrics(
-                        *registry, *generators[t], prefix);
-                }
+                telemetry::registerTraceMetrics(
+                    *registry, *generators[t],
+                    "core" + std::to_string(t) + ".");
             }
             sampler = std::make_unique<telemetry::IntervalSampler>(
                 *registry, options_.sampleIntervalOps,
@@ -431,10 +401,9 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                               sampler->onProgress(measured_ops);
                           })
                     : sim::MulticoreSimulator::ChunkObserver();
-        sim_result = multicore.run(sources, 10'000,
-                                   options_.warmupOps
-                                       / profile.numThreads,
-                                   on_chunk);
+        sim_result = multicore.run(
+            {generators.begin(), generators.end()}, 10'000,
+            options_.warmupOps / profile.numThreads, on_chunk);
         if (sampler) {
             sampler->finish(measured_total);
             result.series =
@@ -448,25 +417,13 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         trace::SyntheticTraceGenerator generator(
             workloads::buildTraceParams(pair, build, 0));
         generator.setCancelFlag(&cancelled);
-        // Under replay the generator still exists -- prefill reads its
-        // region layout without consuming ops -- but the simulated
-        // stream comes from the captured arena instead.
-        std::unique_ptr<trace::ReplaySource> replay;
-        if (replay_eligible) {
-            replay = std::make_unique<trace::ReplaySource>(
-                options_.arenaStore->acquire(generator.params()));
-            replay->setCancelFlag(&cancelled);
-        }
-        trace::TraceSource &source = replay
-            ? static_cast<trace::TraceSource &>(*replay)
-            : static_cast<trace::TraceSource &>(generator);
         sim::CpuSimulator simulator(options_.system, pair_seed);
         if (options_.batchOps != 0)
             simulator.setBatchOps(options_.batchOps);
         simulator.setUnbatchedStepping(options_.unbatchedStepping);
         prefillSteadyState(simulator, generator);
         std::uint64_t executed =
-            simulator.step(source, options_.warmupOps);
+            simulator.step(generator, options_.warmupOps);
         watchdog.check(executed, cancelled);
         const CounterSet warm = simulator.snapshot();
         const double warm_cycles = simulator.core().cycles();
@@ -481,10 +438,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         if (options_.sampleIntervalOps > 0) {
             registry = std::make_unique<telemetry::MetricsRegistry>();
             telemetry::registerSimulatorMetrics(*registry, simulator);
-            if (replay)
-                telemetry::registerTraceMetrics(*registry, *replay);
-            else
-                telemetry::registerTraceMetrics(*registry, generator);
+            telemetry::registerTraceMetrics(*registry, generator);
             sampler = std::make_unique<telemetry::IntervalSampler>(
                 *registry, options_.sampleIntervalOps,
                 telemetry::defaultDerivedSpecs());
@@ -499,7 +453,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                 chunk = std::min(
                     chunk, sampler->opsUntilNextSample(measured));
             }
-            const std::uint64_t done = simulator.step(source, chunk);
+            const std::uint64_t done = simulator.step(generator, chunk);
             executed += done;
             measured += done;
             watchdog.check(executed, cancelled);
@@ -515,7 +469,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                     sampler->series());
         }
         sim_result =
-            measuredSinceWarmup(simulator, source, warm, warm_cycles);
+            measuredSinceWarmup(simulator, generator, warm, warm_cycles);
     }
 
     finalizePairResult(options_, sim_result, result);

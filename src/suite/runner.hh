@@ -259,15 +259,16 @@ struct RunnerOptions
     /** @name Trace capture/replay (see docs/performance.md) */
     /// @{
     /**
-     * Capture-once/replay-many arena store. When set, eligible pairs
-     * (no fault injector, no watchdog deadlines -- the watchdog's
-     * cooperative cancel must act DURING generation) replay the
-     * recorded micro-op stream instead of regenerating it. Replay is
-     * draw-for-draw identical to live generation (pinned by the arena
-     * golden tests), so the store -- and its budget, eviction and
-     * spill knobs -- is an execution strategy and deliberately NOT
-     * part of the config key. Borrowed pointer; must outlive the
-     * runner and supports concurrent acquires.
+     * Capture-once/replay-many arena store, read only by the fan-out
+     * engine (suite/fanout.hh), whose lockstep pass replays each
+     * pair's captured stream across every design point. SuiteRunner
+     * itself always generates live: a single-point run uses each
+     * stream once, so capturing it first would only cost time and
+     * memory. Replay is draw-for-draw identical to live generation
+     * (pinned by the arena golden tests), so the store -- and its
+     * budget, eviction and spill knobs -- is an execution strategy
+     * and deliberately NOT part of the config key. Borrowed pointer;
+     * must outlive the runner and supports concurrent acquires.
      */
     TraceArenaStore *arenaStore = nullptr;
     /// @}

@@ -22,7 +22,6 @@ class CpuSimulator;
 class MulticoreSimulator;
 }
 namespace trace {
-class ReplaySource;
 class SyntheticTraceGenerator;
 }
 
@@ -112,16 +111,6 @@ void registerMulticoreMetrics(MetricsRegistry &registry,
 /** Registers a trace generator's emission counter under @p prefix. */
 void registerTraceMetrics(MetricsRegistry &registry,
                           const trace::SyntheticTraceGenerator &generator,
-                          const std::string &prefix = "");
-
-/**
- * Replay twin of the generator overload: publishes the same
- * "trace.emitted" column reading ReplaySource::deliveredOps(), so
- * telemetry series are byte-identical whether a pair ran live or
- * from a captured arena.
- */
-void registerTraceMetrics(MetricsRegistry &registry,
-                          const trace::ReplaySource &replay,
                           const std::string &prefix = "");
 
 } // namespace telemetry

@@ -188,7 +188,7 @@ ReplaySource::ReplaySource(std::shared_ptr<const TraceArena> arena)
 bool
 ReplaySource::next(isa::MicroOp &op)
 {
-    if (cursor_ >= arena_->numOps || cancelled())
+    if (cursor_ >= arena_->numOps)
         return false;
     op = arena_->lanes.get(cursor_++);
     return true;
@@ -199,8 +199,6 @@ ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                            std::size_t n)
 {
     out.ensure(at + n);
-    if (cancelled())
-        return 0;
     const std::size_t m = std::min(n, arena_->numOps - cursor_);
     const MicroOpBatch &lanes = arena_->lanes;
     std::memcpy(out.cls.data() + at, lanes.cls.data() + cursor_,
@@ -229,7 +227,7 @@ ReplaySource::nextLanes(MicroOpBatch &, std::size_t n, std::size_t &at,
                         std::size_t &got)
 {
     at = cursor_;
-    got = cancelled() ? 0 : std::min(n, arena_->numOps - cursor_);
+    got = std::min(n, arena_->numOps - cursor_);
     cursor_ += got;
     return arena_->lanes;
 }

@@ -83,9 +83,7 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
  * Replays a captured arena as a TraceSource. Satisfies the full
  * stream contract: next(), nextBatchSoA() and the zero-copy
  * nextLanes() all deliver the identical op sequence, mixed freely,
- * and reset() rewinds exactly. Supports the same cooperative
- * cancellation surface as SyntheticTraceGenerator so the suite
- * runner can swap one for the other without observable difference.
+ * and reset() rewinds exactly.
  *
  * Many ReplaySources may share one arena (each holds its own cursor);
  * the shared_ptr keeps the arena alive across store evictions.
@@ -103,12 +101,6 @@ class ReplaySource : public TraceSource
                                   std::size_t &at,
                                   std::size_t &got) override;
 
-    bool
-    cancelled() const override
-    {
-        return cancel_ != nullptr && *cancel_;
-    }
-
     void reset() override { cursor_ = 0; }
 
     std::uint64_t
@@ -117,19 +109,11 @@ class ReplaySource : public TraceSource
         return arena_->virtualReserveBytes;
     }
 
-    /** Borrowed cancel flag, same contract as the generator's. */
-    void setCancelFlag(const bool *flag) { cancel_ = flag; }
-
-    /** Ops delivered since construction/reset -- the replay twin of
-     *  SyntheticTraceGenerator::emittedOps() (telemetry counter). */
-    std::uint64_t deliveredOps() const { return cursor_; }
-
     const TraceArena &arena() const { return *arena_; }
 
   private:
     std::shared_ptr<const TraceArena> arena_;
     std::size_t cursor_ = 0;
-    const bool *cancel_ = nullptr;
 };
 
 } // namespace trace

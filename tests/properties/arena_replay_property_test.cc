@@ -1,27 +1,29 @@
 /**
  * @file
- * Property sweep over the trace-arena replay space: for random batch
- * sizes crossed with random arena byte budgets -- including budgets
- * too small to retain any arena (every pair served uncached) and
- * budgets that force LRU eviction churn mid-sweep -- a suite sweep
- * replaying captured arenas must be byte-identical to live generation
- * on results, result-cache journal bytes, and telemetry series, at
+ * Property sweep over the trace-arena replay space, driven through
+ * the engine that replays: for random batch sizes crossed with random
+ * arena byte budgets -- including budgets too small to retain any
+ * arena (every pair served uncached) and budgets that force LRU
+ * eviction churn mid-sweep -- a fan-out sweep whose design points
+ * share one store must reproduce, row for row and journal byte for
+ * journal byte, one live-generating core::Characterizer per point, at
  * jobs 1 and jobs 8. Budget and eviction behaviour are execution
  * strategy, never semantics (docs/determinism.md); this test is the
  * property-level enforcement of that claim.
  */
 
 #include "suite/arena_store.hh"
-#include "suite/result_cache.hh"
+#include "suite/fanout.hh"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "telemetry/sink.hh"
+#include "core/characterizer.hh"
 #include "util/random.hh"
 #include "util/units.hh"
 
@@ -30,28 +32,109 @@ namespace suite {
 namespace {
 
 using workloads::InputSize;
+using workloads::SuiteGeneration;
 
 constexpr std::uint64_t kSampleOps = 30000;
 constexpr std::uint64_t kWarmupOps = 8000;
-constexpr std::uint64_t kIntervalOps = 7000;
+
+/**
+ * Three design points covering both clone-group tiers of the lockstep
+ * pass: the baseline, a branch-side variant that imports the
+ * baseline's memory lanes, and a hierarchy variant that simulates
+ * its own memory side.
+ */
+std::vector<sim::SystemConfig>
+points()
+{
+    const sim::SystemConfig base =
+        sim::SystemConfig::haswellXeonE52650Lv3();
+    sim::SystemConfig bimodal = base;
+    bimodal.branchPredictor = "bimodal";
+    sim::SystemConfig next_line = base;
+    next_line.hierarchy.l2Prefetcher = "next-line";
+    return {base, bimodal, next_line};
+}
 
 RunnerOptions
-laneOptions(unsigned jobs, std::uint64_t batch_ops,
-            TraceArenaStore *store)
+laneOptions(const sim::SystemConfig &system, unsigned jobs,
+            std::uint64_t batch_ops, TraceArenaStore *store)
 {
     RunnerOptions options;
+    options.system = system;
     options.sampleOps = kSampleOps;
     options.warmupOps = kWarmupOps;
     options.jobs = jobs;
     options.batchOps = batch_ops;
-    // Interval sampling stays on so replayed pairs publish the same
-    // telemetry series live generation does. No watchdog deadlines:
-    // an armed deadline disables replay by design (the cooperative
-    // cancel must act DURING generation), which would turn this test
-    // into a trivial live-vs-live comparison.
-    options.sampleIntervalOps = kIntervalOps;
+    // No telemetry and no watchdog deadlines: either would make the
+    // configuration ineligible for the lockstep pass, turning this
+    // test into a trivial live-vs-live comparison.
     options.arenaStore = store;
     return options;
+}
+
+/** One journal base path per point under @p tag. */
+std::string
+pointBase(const std::string &tag, std::size_t point)
+{
+    return std::string(::testing::TempDir()) + "/spec17_arena_prop_"
+        + tag + "_p" + std::to_string(point);
+}
+
+std::string
+journalOf(const std::string &base)
+{
+    return base + ".cpu2006.test.csv";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/**
+ * The oracle: one live-generating characterization session per point
+ * (no arena store), journaling under @p tag when it is non-empty.
+ */
+std::vector<std::vector<PairResult>>
+liveResults(const std::string &tag)
+{
+    std::vector<std::vector<PairResult>> results;
+    const auto systems = points();
+    for (std::size_t p = 0; p < systems.size(); ++p) {
+        core::CharacterizerOptions options;
+        options.runner = laneOptions(systems[p], 1, 0, nullptr);
+        options.cachePath = tag.empty() ? "" : pointBase(tag, p);
+        if (!tag.empty())
+            std::remove(journalOf(options.cachePath).c_str());
+        core::Characterizer session(options);
+        results.push_back(
+            session.results(SuiteGeneration::Cpu2006, InputSize::Test));
+    }
+    return results;
+}
+
+/** A fan-out sweep of every point through @p store, journaling under
+ *  @p tag when it is non-empty. */
+std::vector<std::vector<PairResult>>
+fanoutResults(unsigned jobs, std::uint64_t batch_ops,
+              TraceArenaStore &store, const std::string &tag)
+{
+    std::vector<FanoutSession> sessions;
+    const auto systems = points();
+    for (std::size_t p = 0; p < systems.size(); ++p) {
+        FanoutSession session;
+        session.runner = laneOptions(systems[p], jobs, batch_ops, &store);
+        session.cachePath = tag.empty() ? "" : pointBase(tag, p);
+        if (!tag.empty())
+            std::remove(journalOf(session.cachePath).c_str());
+        sessions.push_back(std::move(session));
+    }
+    return runFanoutSweep(sessions, workloads::cpu2006Suite(),
+                          InputSize::Test);
 }
 
 /**
@@ -74,15 +157,6 @@ budgetPopulation()
     return budgets;
 }
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 void
 expectResultsIdentical(const std::vector<PairResult> &a,
                        const std::vector<PairResult> &b)
@@ -102,33 +176,9 @@ expectResultsIdentical(const std::vector<PairResult> &a,
     }
 }
 
-void
-expectSameTelemetry(const telemetry::MemorySink &ref,
-                    const telemetry::MemorySink &got)
-{
-    ASSERT_EQ(got.all().size(), ref.all().size());
-    for (const auto &[name, series] : ref.all()) {
-        const telemetry::TimeSeries *other = got.find(name);
-        ASSERT_NE(other, nullptr) << name;
-        std::ostringstream ref_csv, csv;
-        telemetry::renderSeriesCsv(series, ref_csv);
-        telemetry::renderSeriesCsv(*other, csv);
-        EXPECT_EQ(csv.str(), ref_csv.str()) << name;
-    }
-}
-
 TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
 {
-    const auto &suite = workloads::cpu2006Suite();
-
-    // Reference: live generation (no arena store), jobs 1, same
-    // telemetry configuration as every swept point.
-    telemetry::MemorySink ref_sink;
-    RunnerOptions ref_options = laneOptions(1, 0, nullptr);
-    ref_options.telemetrySink = &ref_sink;
-    const auto golden =
-        SuiteRunner(ref_options).runAll(suite, InputSize::Test);
-    ASSERT_FALSE(ref_sink.all().empty());
+    const auto golden = liveResults("");
 
     Rng rng(0xc0ffee);
     for (const std::uint64_t budget : budgetPopulation()) {
@@ -138,18 +188,16 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
             SCOPED_TRACE(::testing::Message()
                          << "budget=" << budget << " batchOps=" << batch
                          << " jobs=" << jobs);
-            telemetry::MemorySink sink;
-            RunnerOptions options = laneOptions(jobs, batch, &store);
-            options.telemetrySink = &sink;
-            const auto results =
-                SuiteRunner(options).runAll(suite, InputSize::Test);
-
-            expectResultsIdentical(golden, results);
-            expectSameTelemetry(ref_sink, sink);
+            const auto rows = fanoutResults(jobs, batch, store, "");
+            ASSERT_EQ(rows.size(), golden.size());
+            for (std::size_t p = 0; p < rows.size(); ++p) {
+                SCOPED_TRACE(::testing::Message() << "point " << p);
+                expectResultsIdentical(golden[p], rows[p]);
+            }
         }
         // Both sweeps replayed through the store: every pair was
-        // captured (first sweep) and the second sweep was served from
-        // residency wherever the budget allowed.
+        // captured (first sweep) and the residency never outgrew the
+        // budget, however much the sweep churned it.
         EXPECT_GT(store.stats().captures, 0u);
         EXPECT_LE(store.stats().residentBytes, budget);
     }
@@ -157,22 +205,17 @@ TEST(ArenaReplayProperty, RandomBudgetsAndBatchSizesMatchLiveGeneration)
 
 TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
 {
-    const auto &suite = workloads::cpu2006Suite();
-    const std::string dir(::testing::TempDir());
-
-    const std::string ref_base = dir + "/spec17_arena_prop_ref";
-    ResultCache ref_cache(ref_base);
-    ref_cache.invalidate();
-    ref_cache.runOrLoad(SuiteRunner(laneOptions(1, 0, nullptr)), suite,
-                        InputSize::Test);
-    const std::string ref_bytes =
-        fileBytes(ref_base + ".cpu2006.test.csv");
-    ASSERT_FALSE(ref_bytes.empty());
+    liveResults("ref");
+    std::vector<std::string> golden;
+    for (std::size_t p = 0; p < points().size(); ++p) {
+        golden.push_back(fileBytes(journalOf(pointBase("ref", p))));
+        ASSERT_FALSE(golden.back().empty()) << "point " << p;
+    }
 
     // A journal-focused subset (journal content depends on results
     // only, pinned exhaustively above): one starved budget, one
     // everything-resident budget, reusing one store across job counts
-    // so the jobs=8 run replays arenas the jobs=1 run captured.
+    // so the jobs=8 sweep replays arenas the jobs=1 sweep captured.
     Rng rng(0x5411e);
     for (const std::uint64_t budget : {std::uint64_t(1), 512 * kMiB}) {
         TraceArenaStore store(budget);
@@ -181,21 +224,23 @@ TEST(ArenaReplayProperty, JournalBytesMatchLiveGeneration)
             SCOPED_TRACE(::testing::Message()
                          << "budget=" << budget << " batchOps=" << batch
                          << " jobs=" << jobs);
-            const std::string base = dir + "/spec17_arena_prop_b"
-                + std::to_string(budget) + "_j" + std::to_string(jobs);
-            ResultCache cache(base);
-            cache.invalidate();
-            cache.runOrLoad(SuiteRunner(laneOptions(jobs, batch, &store)),
-                            suite, InputSize::Test);
-            EXPECT_EQ(fileBytes(base + ".cpu2006.test.csv"), ref_bytes);
-            cache.invalidate();
+            const std::string tag =
+                "b" + std::to_string(budget) + "_j" + std::to_string(jobs);
+            fanoutResults(jobs, batch, store, tag);
+            for (std::size_t p = 0; p < golden.size(); ++p) {
+                const std::string journal = journalOf(pointBase(tag, p));
+                EXPECT_EQ(fileBytes(journal), golden[p]) << journal;
+                std::remove(journal.c_str());
+            }
         }
         // The full-budget store serves the second sweep from
         // residency: replay-of-a-replayed-capture is still identical.
-        if (budget > kMiB)
+        if (budget > kMiB) {
             EXPECT_GT(store.stats().hits, 0u);
+        }
     }
-    ref_cache.invalidate();
+    for (std::size_t p = 0; p < golden.size(); ++p)
+        std::remove(journalOf(pointBase("ref", p)).c_str());
 }
 
 } // namespace

@@ -4,6 +4,9 @@
 
 #include <limits>
 
+#include "suite/arena_store.hh"
+#include "util/units.hh"
+
 namespace spec17 {
 namespace suite {
 namespace {
@@ -116,6 +119,23 @@ TEST(Runner, RunAllCoversEveryPair)
     const auto results =
         runner.runAll(workloads::cpu2006Suite(), InputSize::Ref);
     EXPECT_EQ(results.size(), 29u);
+}
+
+TEST(SuiteRunner, NeverTouchesTheArenaStore)
+{
+    // A single-point sweep uses each stream once, so it generates
+    // live even with a store attached: capturing first would only
+    // hold arenas it never replays.
+    TraceArenaStore store(512 * kMiB);
+    RunnerOptions options;
+    options.sampleOps = 20000;
+    options.warmupOps = 5000;
+    options.arenaStore = &store;
+    const auto results = SuiteRunner(options).runAll(
+        workloads::cpu2006Suite(), InputSize::Test);
+    EXPECT_EQ(results.size(), 29u);
+    EXPECT_EQ(store.stats().captures, 0u);
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(Runner, RetryBackoffClampsExponentAndDelay)

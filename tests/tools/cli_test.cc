@@ -262,6 +262,41 @@ TEST(CliRun, CorunRejectsSuiteRunnerOnlyFlags)
     }
 }
 
+TEST(CliRun, SinglePointVerbsRejectArenaFlags)
+{
+    // stat and characterize always generate live (each stream is
+    // used once), so the arena flags would be silent no-ops there.
+    for (const char *flag :
+         {"--trace-arena-mb=0", "--arena-spill-dir=/tmp/spec17_spill"}) {
+        const std::string name =
+            std::string(flag).substr(0, std::string(flag).find('='));
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parse({"characterize", "--suite=cpu2006",
+                                    "--size=test", "--no-cache",
+                                    "--sample=2000", "--warmup=500",
+                                    flag}),
+                             out, err),
+                  2)
+            << flag;
+        EXPECT_NE(err.str().find(name + " does not apply to characterize"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str(), "") << flag;
+
+        std::ostringstream out2, err2;
+        EXPECT_EQ(runCommand(parse({"stat", "505.mcf_r", "--size=test",
+                                    "--sample=2000", "--warmup=500",
+                                    flag}),
+                             out2, err2),
+                  2)
+            << flag;
+        EXPECT_NE(err2.str().find(name + " does not apply to stat"),
+                  std::string::npos)
+            << err2.str();
+        EXPECT_EQ(out2.str(), "") << flag;
+    }
+}
+
 TEST(CliRun, TelemetryFlagsApplyOnlyWhereSeriesAreWritten)
 {
     // Only stat and characterize write interval series; corun and
@@ -843,7 +878,7 @@ TEST(CliRun, ArenaFlagContradictionsAreContainedErrors)
 {
     // Spilling with capture/replay disabled has nothing to spill.
     std::ostringstream out, err;
-    EXPECT_EQ(runCommand(parse({"stat", "505.mcf_r",
+    EXPECT_EQ(runCommand(parse({"corun", "--size=test",
                                 "--trace-arena-mb=0",
                                 "--arena-spill-dir=/tmp/spec17_spill"}),
                          out, err),

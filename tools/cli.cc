@@ -159,11 +159,13 @@ runnerOptionsOf(const CommandLine &command)
 
 /**
  * Builds the trace arena store for --trace-arena-mb (default 512 MiB;
- * 0 disables capture/replay), or nullptr when disabled. The caller
- * owns the store and must keep it alive for the runners' lifetime.
- * Whether a store is attached never changes result bytes (replay is
- * draw-for-draw identical to generation), so none of these knobs
- * enter result-cache config keys.
+ * 0 disables capture/replay), or nullptr when disabled. Only corun
+ * and explore attach one: they replay each stream many times, while
+ * a single-point run generates live. The caller owns the store and
+ * must keep it alive for the runners' lifetime. Whether a store is
+ * attached never changes result bytes (replay is draw-for-draw
+ * identical to generation), so none of these knobs enter result-cache
+ * config keys.
  */
 std::unique_ptr<suite::TraceArenaStore>
 arenaStoreOf(const CommandLine &command)
@@ -369,8 +371,6 @@ cmdStat(const CommandLine &command, std::ostream &out, std::ostream &)
     suite::RunnerOptions runner_options = runnerOptionsOf(command);
     const auto sink = telemetrySinkOf(command);
     runner_options.telemetrySink = sink.get();
-    const auto arena_store = arenaStoreOf(command);
-    runner_options.arenaStore = arena_store.get();
     suite::SuiteRunner runner(runner_options);
     const auto result = runner.runPair({profile, size, input});
 
@@ -524,8 +524,6 @@ cmdCharacterize(const CommandLine &command, std::ostream &out, std::ostream &)
     options.runner = runnerOptionsOf(command);
     const auto sink = telemetrySinkOf(command);
     options.runner.telemetrySink = sink.get();
-    const auto arena_store = arenaStoreOf(command);
-    options.runner.arenaStore = arena_store.get();
     const CampaignOptions campaign = campaignOptionsOf(command);
     static_cast<suite::CampaignOptions &>(options) = campaign.scope;
     options.cachePath = campaign.cachePath;
@@ -1266,7 +1264,7 @@ flagTable()
     static const FlagGroup kExplore{"design-space exploration",
                                     "explore"};
     static const FlagGroup kArena{"trace capture/replay",
-                                  "stat, characterize, corun, explore"};
+                                  "corun, explore"};
     static const std::vector<FlagSpec> table = {
         {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
          kCommon},
