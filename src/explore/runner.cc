@@ -94,9 +94,10 @@ ExploreRunner::runPoints(const std::vector<ExplorePoint> &points,
     // it gets its own journal file. The fan-out engine runs them
     // pair-major -- with an eligible arena store, every pair's trace
     // is captured once and all points replay it in lockstep, with
-    // prefill cloning and buffer recycling across points; otherwise
-    // each cell runs through its point's own SuiteRunner::runPair
-    // (suite/fanout.hh). Jobs, shards and resume compose either way.
+    // branch-side variants importing their leader's memory lanes;
+    // otherwise each cell runs through its point's own
+    // SuiteRunner::runPair (suite/fanout.hh). Jobs, shards and resume
+    // compose either way.
     std::vector<suite::FanoutSession> sessions;
     sessions.reserve(points.size());
     for (const ExplorePoint &point : points) {

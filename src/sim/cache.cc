@@ -74,8 +74,7 @@ CacheContextStats::missRate() const
                  : 0.0;
 }
 
-SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
-                             SetAssocCache *recycle, bool recycle_dirty)
+SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed)
     : config_(std::move(config)), numSets_(config_.numSets()),
       lineShift_(static_cast<unsigned>(
           std::countr_zero(config_.lineBytes))),
@@ -85,18 +84,6 @@ SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
       wayPred_(config_.wayPredictor),
       rng_(deriveSeed(seed, config_.name))
 {
-    if (recycle != nullptr) {
-        // Adopt the dead cache's heap buffers. Every lane is assigned
-        // its fresh-construction image below, so only warm pages are
-        // inherited, never state.
-        tags_ = std::move(recycle->tags_);
-        dirty_ = std::move(recycle->dirty_);
-        stamps_ = std::move(recycle->stamps_);
-        utags_ = std::move(recycle->utags_);
-        prefetchOwner_ = std::move(recycle->prefetchOwner_);
-        plruBits_ = std::move(recycle->plruBits_);
-        mruWay_ = std::move(recycle->mruWay_);
-    }
     if (config_.policy == ReplacementPolicy::TreePlru)
         SPEC17_ASSERT((config_.assoc & (config_.assoc - 1)) == 0,
                       config_.name,
@@ -109,30 +96,9 @@ SetAssocCache::SetAssocCache(CacheConfig config, std::uint64_t seed,
 
     const std::size_t lanes =
         static_cast<std::size_t>(numSets_) * config_.assoc;
-    if (recycle_dirty) {
-        // The caller promised an immediate full-state copy-assign, so
-        // only lane *sizes* matter: resize touches nothing when the
-        // donor's geometry matches and writes only the grown tail
-        // otherwise. The fresh-construction reset below would memset
-        // the same megabytes operator= is about to overwrite.
-        tags_.resize(lanes);
-        dirty_.resize(lanes);
-        stamps_.resize(lanes);
-        prefetchOwner_.clear();
-        plruBits_.resize(config_.policy == ReplacementPolicy::TreePlru
-                             ? numSets_ * (config_.assoc - 1)
-                             : 0);
-        mruWay_.resize(wayPred_ == WayPredictor::Mru ? numSets_ : 0);
-        utags_.resize(wayPred_ == WayPredictor::Utag ? lanes : 0);
-        return;
-    }
     tags_.assign(lanes, kNoTag);
     dirty_.assign(lanes, 0);
     stamps_.assign(lanes, 0);
-    utags_.clear();
-    prefetchOwner_.clear();
-    plruBits_.clear();
-    mruWay_.clear();
     if (config_.policy == ReplacementPolicy::TreePlru)
         plruBits_.assign(numSets_ * (config_.assoc - 1), 0);
     if (wayPred_ == WayPredictor::Mru)

@@ -131,26 +131,8 @@ class SetAssocCache
     /**
      * @param config geometry and policy.
      * @param seed randomness seed (only used by Random replacement).
-     * @param recycle optional dead cache whose heap buffers this one
-     *        adopts before re-initializing them -- the constructed
-     *        state is bit-identical to a fresh construction (every
-     *        lane is re-assigned), but matching geometries skip the
-     *        large page-faulting allocations that dominate cache
-     *        construction cost. The donor is left empty and must not
-     *        be used again. Multi-point simulation fan-out recycles
-     *        each finished point's caches this way.
-     * @param recycle_dirty skip the line/recency lane resets: the
-     *        lanes keep whatever bytes they adopted (or value-
-     *        initialized) and the caller PROMISES to copy-assign the
-     *        complete cache state from a same-config cache before the
-     *        first access. Fan-out clone-group siblings use this --
-     *        their construction image is immediately overwritten by
-     *        the group leader's prefilled state, so resetting ~8 MB
-     *        of L3 lanes first is pure memory traffic.
      */
-    explicit SetAssocCache(CacheConfig config, std::uint64_t seed = 0,
-                           SetAssocCache *recycle = nullptr,
-                           bool recycle_dirty = false);
+    explicit SetAssocCache(CacheConfig config, std::uint64_t seed = 0);
 
     /**
      * Performs a demand access.

@@ -24,12 +24,9 @@ SimResult::ipc() const
 
 CpuSimulator::CpuSimulator(const SystemConfig &config, std::uint64_t seed,
                            std::shared_ptr<SetAssocCache> shared_l3,
-                           std::shared_ptr<MemoryBus> shared_bus,
-                           CpuSimulator *recycle, bool recycle_dirty)
+                           std::shared_ptr<MemoryBus> shared_bus)
     : config_(config),
-      hierarchy_(config.hierarchy, std::move(shared_l3), seed,
-                 recycle ? &recycle->hierarchy_ : nullptr,
-                 recycle_dirty),
+      hierarchy_(config.hierarchy, std::move(shared_l3), seed),
       branches_(makeDirectionPredictor(config.branchPredictor,
                                        config.tage)),
       core_(config.core, std::move(shared_bus)), dtlb_(config.dtlb),
@@ -55,24 +52,6 @@ CpuSimulator::CpuSimulator(const SystemConfig &config, std::uint64_t seed,
                       && config.hierarchy.l3.wayPredictor
                              == WayPredictor::None,
                   "way prediction is supported on the L1D only");
-    if (recycle != nullptr) {
-        // Adopt the donor's batch, scratch and memo buffers; every
-        // one is re-assigned or lazily resized below, so only warm
-        // pages carry over, never state.
-        batch_ = std::move(recycle->batch_);
-        fetchStall_ = std::move(recycle->fetchStall_);
-        memLatency_ = std::move(recycle->memLatency_);
-        l1Miss_ = std::move(recycle->l1Miss_);
-        mispredicted_ = std::move(recycle->mispredicted_);
-        dram_ = std::move(recycle->dram_);
-        branchIdx_ = std::move(recycle->branchIdx_);
-        memIdx_ = std::move(recycle->memIdx_);
-        instMemo_ = std::move(recycle->instMemo_);
-        dataMemo_ = std::move(recycle->dataMemo_);
-        dataMemoDirty_ = std::move(recycle->dataMemoDirty_);
-        pcPageSeen_ = std::move(recycle->pcPageSeen_);
-        dataPageSeen_ = std::move(recycle->dataPageSeen_);
-    }
     instMemo_.assign(config.hierarchy.l1i.numSets(), kNoLine);
     dataMemo_.assign(config.hierarchy.l1d.numSets(), kNoLine);
     dataMemoDirty_.assign(config.hierarchy.l1d.numSets(), 0);
@@ -633,19 +612,6 @@ CpuSimulator::prefillData(std::uint64_t base, std::uint64_t bytes,
     for (std::uint64_t addr = first; addr < base + bytes; addr += line)
         hierarchy_.fillTo(addr, level);
     // fillTo can evict the memo'd data line.
-    invalidateLineMemos();
-}
-
-void
-CpuSimulator::copyPrefillFrom(const CpuSimulator &other)
-{
-    // Prefill fills caches only: cloning before any demand traffic
-    // (cycles still zero on both sides) transplants exactly the state
-    // a matching prefillData sequence would have built here.
-    SPEC17_ASSERT(core_.cycles() == 0.0 && other.core_.cycles() == 0.0,
-                  "prefill cloning requires pristine simulators");
-    hierarchy_.copyStateFrom(other.hierarchy_);
-    // fillTo can evict the memo'd lines (same reset as prefillData).
     invalidateLineMemos();
 }
 

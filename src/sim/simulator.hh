@@ -106,41 +106,13 @@ class CpuSimulator
      * @param shared_l3 optional L3 shared with other simulators.
      * @param shared_bus optional DRAM channel shared with other
      *        simulators (multicore bandwidth contention).
-     * @param recycle optional dead simulator whose large heap buffers
-     *        (cache lanes, batch lanes, scratch, memos) this one
-     *        adopts before re-initializing them. Results are
-     *        bit-identical to a fresh construction -- recycling only
-     *        skips page-faulting allocations, which dominate
-     *        construction cost in multi-point fan-out loops. The
-     *        donor must not be used afterwards.
-     * @param recycle_dirty skip resetting the cache-hierarchy lanes
-     *        at construction; ONLY legal when the caller immediately
-     *        calls copyPrefillFrom() (which copy-assigns the complete
-     *        cache state) before the simulator consumes any traffic.
-     *        Fan-out clone-group siblings pass true: resetting
-     *        megabytes of lanes that the leader's state overwrites a
-     *        moment later is pure memory traffic. Requires a private
-     *        L3 (copyPrefillFrom does too).
      */
     explicit CpuSimulator(const SystemConfig &config,
                           std::uint64_t seed = 0,
                           std::shared_ptr<SetAssocCache> shared_l3
                           = nullptr,
                           std::shared_ptr<MemoryBus> shared_bus
-                          = nullptr,
-                          CpuSimulator *recycle = nullptr,
-                          bool recycle_dirty = false);
-
-    /**
-     * Clones the cache-hierarchy state from @p other, a simulator
-     * with the identical SystemConfig that has been prefilled (see
-     * prefillData / suite::prefillSteadyState) but has consumed no
-     * demand traffic yet. After the call this simulator observes the
-     * exact state a matching prefill sequence would have built --
-     * multi-point fan-out prefills one group leader per hierarchy
-     * configuration and clones the rest.
-     */
-    void copyPrefillFrom(const CpuSimulator &other);
+                          = nullptr);
 
     /** Runs @p source to exhaustion and returns the counters. */
     SimResult run(trace::TraceSource &source);
@@ -179,10 +151,11 @@ class CpuSimulator
      *    configuration over the identical micro-op stream and batch
      *    schedule. The branch, footprint and retire passes still run
      *    here, so per-point branch behavior and timing are exact.
-     *    This simulator's cache hierarchy and TLBs are never touched
-     *    (they may hold dirty-recycled garbage; see the constructor's
-     *    recycle_dirty). Panics unless the call consumes the log
-     *    exactly, batch for batch.
+     *    This simulator's cache hierarchy and TLBs are never touched,
+     *    so fan-out builds the sibling on its leader's L3 (the
+     *    shared_l3 argument) rather than allocating one of its own.
+     *    Panics unless the call consumes the log exactly, batch for
+     *    batch.
      *
      * @return number of micro-ops actually consumed.
      */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -51,17 +50,26 @@ appendTlbConfig(std::ostringstream &os, const sim::TlbConfig &tlb)
  * batchOps, appended by the caller) produce bit-identical memory/TLB
  * lane streams over the same arena, because nothing on the branch
  * side feeds back into cache or TLB state. Everything that shapes the
- * recorded lanes is included -- the full hierarchy, the core
- * parameters (frontendBufferCycles and the op latencies bake into the
- * recorded stall/latency lanes), and both TLBs. The branch predictor
- * and TAGE geometry are deliberately absent: they only influence the
- * per-sim branch pass, which importing siblings still run themselves.
+ * recorded lanes is included -- the full hierarchy (all four cache
+ * geometries including way predictor, both prefetcher slots, stream
+ * geometry), the core parameters (frontendBufferCycles and the op
+ * latencies bake into the recorded stall/latency lanes), and both
+ * TLBs. The branch predictor and TAGE geometry are deliberately
+ * absent: they only influence the per-sim branch pass, which
+ * importing siblings still run themselves.
  */
 std::string
 importCloneKey(const sim::SystemConfig &system)
 {
     std::ostringstream os;
-    os << hierarchyCloneKey(system.hierarchy) << "|";
+    const sim::HierarchyConfig &hierarchy = system.hierarchy;
+    appendCacheConfig(os, hierarchy.l1i);
+    appendCacheConfig(os, hierarchy.l1d);
+    appendCacheConfig(os, hierarchy.l2);
+    appendCacheConfig(os, hierarchy.l3);
+    os << hierarchy.memLatency << ";" << hierarchy.prefetcher << ";"
+       << hierarchy.l2Prefetcher << ";" << hierarchy.streamDegree << ","
+       << hierarchy.streamDistance << "|";
     const sim::CoreParams &core = system.core;
     os << core.dispatchWidth << "," << core.robSize << ","
        << core.numMshrs << "," << core.mispredictPenalty << ","
@@ -81,46 +89,6 @@ importCloneKey(const sim::SystemConfig &system)
 using Row = std::vector<std::optional<PairResult>>;
 
 /**
- * Bounded freelist of dead simulators whose heap buffers the next
- * pair's constructions adopt. Recycling is an allocation shortcut
- * only (results are bit-identical to fresh construction), so the
- * freelist can drop donors freely when full.
- */
-class DonorPool
-{
-  public:
-    explicit DonorPool(std::size_t cap) : cap_(cap) {}
-
-    std::vector<std::unique_ptr<sim::CpuSimulator>>
-    take(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        std::vector<std::unique_ptr<sim::CpuSimulator>> out;
-        while (n-- > 0 && !donors_.empty()) {
-            out.push_back(std::move(donors_.back()));
-            donors_.pop_back();
-        }
-        return out;
-    }
-
-    void
-    give(std::vector<std::unique_ptr<sim::CpuSimulator>> sims)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &sim : sims) {
-            if (donors_.size() >= cap_)
-                return; // drop the rest: recycling is best-effort
-            donors_.push_back(std::move(sim));
-        }
-    }
-
-  private:
-    std::size_t cap_;
-    std::mutex mutex_;
-    std::vector<std::unique_ptr<sim::CpuSimulator>> donors_;
-};
-
-/**
  * Simulates @p pair for every session index in @p active and returns
  * each point's result in its session slot. Cells the shared-arena
  * path cannot reproduce exactly (ineligible configurations,
@@ -132,7 +100,7 @@ Row
 runFanoutPair(const AppInputPair &pair,
               const std::vector<FanoutSession> &sessions,
               const std::vector<std::unique_ptr<SuiteRunner>> &runners,
-              const std::vector<std::size_t> &active, DonorPool &donors)
+              const std::vector<std::size_t> &active)
 {
     SPEC17_ASSERT(pair.profile != nullptr, "pair without profile");
     const WorkloadProfile &profile = *pair.profile;
@@ -167,32 +135,21 @@ runFanoutPair(const AppInputPair &pair,
         base.arenaStore->acquire(generator.params());
 
     const std::size_t n = active.size();
-    std::vector<std::unique_ptr<sim::CpuSimulator>> recycled =
-        donors.take(n);
     std::vector<std::unique_ptr<sim::CpuSimulator>> sims(n);
     std::vector<trace::ReplaySource> replays;
     replays.reserve(n);
     std::map<std::string, std::size_t> import_leaders;
-    std::map<std::string, std::size_t> hier_leaders;
     std::vector<std::size_t> leader_of(n);
     std::vector<char> failed(n, 0);
 
     for (std::size_t j = 0; j < n; ++j) {
         const RunnerOptions &point = sessions[active[j]].runner;
-        std::unique_ptr<sim::CpuSimulator> donor;
-        if (!recycled.empty()) {
-            donor = std::move(recycled.back());
-            recycled.pop_back();
-        }
-        // Clone groups, two tiers. A point matching an earlier point
-        // in everything but the branch side (importCloneKey) becomes
-        // a lane-importing sibling: it consumes the leader's recorded
+        // Clone groups: a point matching an earlier point in
+        // everything but the branch side (importCloneKey) becomes a
+        // lane-importing sibling. It consumes the leader's recorded
         // memory lanes during lockstep, so its own hierarchy is never
-        // accessed -- no prefill, no state copy, and a dirty-recycled
-        // construction whose lanes legitimately stay garbage. A point
-        // matching only the hierarchy (hierarchyCloneKey) still
-        // clones the leader's prefilled cache state instead of
-        // re-filling 30 MiB of lines, then simulates independently.
+        // accessed: no prefill, and it is built on the leader's L3
+        // instead of allocating one it would never touch.
         const std::string import_key =
             importCloneKey(point.system) + "|batch="
             + std::to_string(point.batchOps);
@@ -200,23 +157,13 @@ runFanoutPair(const AppInputPair &pair,
         if (import_leader != import_leaders.end()) {
             leader_of[j] = import_leader->second;
             sims[j] = std::make_unique<sim::CpuSimulator>(
-                point.system, pair_seed, nullptr, nullptr, donor.get(),
-                true);
+                point.system, pair_seed,
+                sims[leader_of[j]]->hierarchy().sharedL3());
         } else {
             leader_of[j] = j;
-            const std::string hier_key =
-                hierarchyCloneKey(point.system.hierarchy);
-            const auto hier_leader = hier_leaders.find(hier_key);
-            const bool clone = hier_leader != hier_leaders.end();
-            sims[j] = std::make_unique<sim::CpuSimulator>(
-                point.system, pair_seed, nullptr, nullptr, donor.get(),
-                clone);
-            if (clone) {
-                sims[j]->copyPrefillFrom(*sims[hier_leader->second]);
-            } else {
-                prefillSteadyState(*sims[j], generator);
-                hier_leaders.emplace(hier_key, j);
-            }
+            sims[j] = std::make_unique<sim::CpuSimulator>(point.system,
+                                                          pair_seed);
+            prefillSteadyState(*sims[j], generator);
             import_leaders.emplace(import_key, j);
         }
         if (point.batchOps != 0)
@@ -330,25 +277,10 @@ runFanoutPair(const AppInputPair &pair,
             fallback(active[j]);
     }
 
-    donors.give(std::move(sims));
     return row;
 }
 
 } // namespace
-
-std::string
-hierarchyCloneKey(const sim::HierarchyConfig &hierarchy)
-{
-    std::ostringstream os;
-    appendCacheConfig(os, hierarchy.l1i);
-    appendCacheConfig(os, hierarchy.l1d);
-    appendCacheConfig(os, hierarchy.l2);
-    appendCacheConfig(os, hierarchy.l3);
-    os << hierarchy.memLatency << ";" << hierarchy.prefetcher << ";"
-       << hierarchy.l2Prefetcher << ";" << hierarchy.streamDegree << ","
-       << hierarchy.streamDistance;
-    return os.str();
-}
 
 bool
 fanoutEligible(const RunnerOptions &options)
@@ -393,12 +325,11 @@ runFanoutSweep(const std::vector<FanoutSession> &sessions,
     const auto pairs = suite.empty()
         ? std::vector<AppInputPair>{}
         : shardSlice(enumeratePairs(suite, size), options.shard);
-    DonorPool donors(m);
     return ResultCache::sweepAll(
         campaigns, pairs, sessions.front().runner.jobs,
         [&](const AppInputPair &pair,
             const std::vector<std::size_t> &active) {
-            return runFanoutPair(pair, sessions, runners, active, donors);
+            return runFanoutPair(pair, sessions, runners, active);
         });
 }
 

@@ -5,16 +5,17 @@
  * arena, reading each pair's captured stream once per lockstep chunk
  * instead of once per point.
  *
- * Three cost levers compose here (docs/performance.md):
+ * Two cost levers compose here (docs/performance.md):
  *  - capture-once/replay-many arenas (suite/arena_store.hh): the
  *    pair's trace is generated once and every point replays it
  *    zero-copy;
- *  - prefill-state cloning: points sharing a hierarchy configuration
- *    form a clone group -- one leader pays the steady-state prefill,
- *    siblings copy its cache state (CpuSimulator::copyPrefillFrom);
- *  - simulator buffer recycling: dead simulators from the previous
- *    pair donate their page-faulted heap buffers to the next pair's
- *    constructions (the recycle parameter).
+ *  - lane-import clone groups: points that differ only on the branch
+ *    side share one leader, which pays the steady-state prefill and
+ *    records its memory-side lanes; each sibling imports them
+ *    (CpuSimulator::step's import) and is built on the leader's L3,
+ *    which it never touches, so it allocates only its small private
+ *    caches. Every simulator is constructed fresh per pair; no
+ *    buffers are donated between pairs.
  *
  * Each design point is one campaign of the shared sweep loop
  * (CampaignStore::sweepAll), which journals it; the per-pair lockstep
@@ -87,15 +88,6 @@ std::vector<std::vector<PairResult>> runFanoutSweep(
     const std::vector<FanoutSession> &sessions,
     const std::vector<workloads::WorkloadProfile> &suite,
     workloads::InputSize size, const CampaignOptions &options = {});
-
-/**
- * Clone-group key of @p hierarchy: serializes every field that
- * shapes post-prefill cache state (all four cache geometries
- * including way predictor, both prefetcher slots, stream geometry).
- * Two points with equal keys may share one prefill via
- * CpuSimulator::copyPrefillFrom. Exposed for tests.
- */
-std::string hierarchyCloneKey(const sim::HierarchyConfig &hierarchy);
 
 } // namespace suite
 } // namespace spec17

@@ -38,10 +38,13 @@ constexpr std::uint64_t kSampleOps = 30000;
 constexpr std::uint64_t kWarmupOps = 8000;
 
 /**
- * Three design points covering both clone-group tiers of the lockstep
- * pass: the baseline, a branch-side variant that imports the
- * baseline's memory lanes, and a hierarchy variant that simulates
- * its own memory side.
+ * Four design points covering every construction the lockstep pass
+ * makes: the baseline; a branch-side variant that imports the
+ * baseline's memory lanes and is built on its L3; a hierarchy
+ * variant that simulates its own memory side; and a core variant
+ * that shares the baseline's hierarchy but not its lanes (the core
+ * parameters bake into the recorded latency lanes), so it is a
+ * leader of its own with a fresh, separately prefilled hierarchy.
  */
 std::vector<sim::SystemConfig>
 points()
@@ -52,7 +55,9 @@ points()
     bimodal.branchPredictor = "bimodal";
     sim::SystemConfig next_line = base;
     next_line.hierarchy.l2Prefetcher = "next-line";
-    return {base, bimodal, next_line};
+    sim::SystemConfig small_rob = base;
+    small_rob.core.robSize = base.core.robSize / 2;
+    return {base, bimodal, next_line, small_rob};
 }
 
 RunnerOptions

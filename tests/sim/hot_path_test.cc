@@ -314,10 +314,13 @@ TEST(HotPath, ImportingSiblingMatchesReferenceLane)
     // The fan-out clone group, reduced to its parts: a bimodal leader
     // records its memory-side lanes chunk by chunk, and a TAGE sibling
     // with the same hierarchy imports them instead of running its own
-    // cache and TLB passes. The sibling must match a TAGE simulator
-    // on the per-op reference lane after every chunk, at chunk sizes
-    // that split batches every way (1 op, just under and over one
-    // 256-op batch, many batches).
+    // cache and TLB passes. As in fan-out, the sibling is built on the
+    // leader's L3 and never prefilled. The sibling must match a TAGE
+    // simulator on the per-op reference lane, and the leader a bimodal
+    // one, after every chunk -- so an importing step that touched the
+    // borrowed L3 would show up in the leader -- at chunk sizes that
+    // split batches every way (1 op, just under and over one 256-op
+    // batch, many batches).
     const trace::SyntheticTraceParams params = mixedParams(40000);
     const auto arena =
         std::make_shared<const trace::TraceArena>(
@@ -333,13 +336,16 @@ TEST(HotPath, ImportingSiblingMatchesReferenceLane)
         SCOPED_TRACE(::testing::Message() << "chunk=" << chunk);
         CpuSimulator leader(leader_config, 42);
         leader.prefillData(0x100000, 256 * 1024, HitLevel::L2);
-        CpuSimulator sibling(sibling_config, 42);
-        sibling.copyPrefillFrom(leader);
+        CpuSimulator sibling(sibling_config, 42,
+                             leader.hierarchy().sharedL3());
+        CpuSimulator leader_reference(leader_config, 42);
+        leader_reference.prefillData(0x100000, 256 * 1024, HitLevel::L2);
         CpuSimulator reference(sibling_config, 42);
         reference.prefillData(0x100000, 256 * 1024, HitLevel::L2);
 
         trace::ReplaySource leader_ops(arena);
         trace::ReplaySource sibling_ops(arena);
+        trace::ReplaySource leader_reference_ops(arena);
         trace::ReplaySource reference_ops(arena);
         MemoryLaneLog log;
         std::uint64_t consumed = 0;
@@ -351,14 +357,21 @@ TEST(HotPath, ImportingSiblingMatchesReferenceLane)
             const std::uint64_t got =
                 sibling.step(sibling_ops, chunk, nullptr, &log);
             ASSERT_EQ(got, led);
+            ASSERT_EQ(leader_reference.stepUnbatched(leader_reference_ops,
+                                                     chunk),
+                      got);
             ASSERT_EQ(reference.stepUnbatched(reference_ops, chunk), got);
             consumed += got;
+            ASSERT_TRUE(sameCountersAndCycles(leader, leader_reference))
+                << "leader after " << consumed << " ops";
             ASSERT_TRUE(sameCountersAndCycles(sibling, reference))
-                << "after " << consumed << " ops";
+                << "sibling after " << consumed << " ops";
             if (got < chunk)
                 break;
         }
         EXPECT_EQ(consumed, params.numOps);
+        // Including the shared L3's stats, which only the leader moved.
+        expectSimsIdentical(leader, leader_reference);
     }
 }
 

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "suite/journal.hh"
 
@@ -355,14 +358,44 @@ TEST(CliRun, UsageListsTheVerbsOfEachFlagGroup)
         << err.str();
 }
 
+TEST(CliRun, SelectionAndOutputFlagsApplyOnlyToTheirReaders)
+{
+    // Each of these flags is read by a few verbs only; any other verb
+    // would silently ignore it, so it exits 2 before running anything.
+    const std::vector<std::pair<std::vector<const char *>, const char *>>
+        runs = {
+            {{"characterize", "--input=2", "--tolerance=3"},
+             "--input does not apply to characterize"},
+            {{"corun", "--clusters=4", "--strict"},
+             "--clusters does not apply to corun"},
+            {{"explore", "--set=rate", "--out=x.csv"},
+             "--out does not apply to explore"},
+            {{"stat", "505.mcf_r", "--size=test", "--clusters=3"},
+             "--clusters does not apply to stat"},
+            {{"list", "--predictor=tage"},
+             "--predictor does not apply to list"},
+        };
+    for (const auto &[args, message] : runs) {
+        SCOPED_TRACE(args.front());
+        std::ostringstream out, err;
+        EXPECT_EQ(runCommand(parseCommandLine(
+                                 static_cast<int>(args.size()),
+                                 args.data()),
+                             out, err),
+                  2);
+        EXPECT_NE(err.str().find(message), std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str(), "");
+    }
+}
+
 TEST(CliRun, SampleBelowTheRunnerFloorIsRejected)
 {
     // A contained usage error (exit 2), not an assertion abort inside
     // the runner.
     for (const char *command : {"stat", "characterize", "corun"}) {
         std::ostringstream out, err;
-        EXPECT_EQ(runCommand(parse({command, "505.mcf_r", "--no-cache",
-                                    "--sample=999"}),
+        EXPECT_EQ(runCommand(parse({command, "505.mcf_r", "--sample=999"}),
                              out, err),
                   2)
             << command;
@@ -456,8 +489,7 @@ TEST(CliRun, PhasesRunsOnRealProfile)
 {
     std::ostringstream out, err;
     EXPECT_EQ(runCommand(parse({"phases", "519.lbm_r",
-                                "--sample=100000",
-                                "--warmup=20000"}),
+                                "--sample=100000"}),
                          out, err),
               0);
     EXPECT_NE(out.str().find("timeline:"), std::string::npos);

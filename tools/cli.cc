@@ -1246,6 +1246,26 @@ flagTable()
     static const char *const kPairRunners =
         "stat, validate, characterize, subset, explore";
     static const FlagGroup kCommon{"common flags", ""};
+    static const FlagGroup kSuite{
+        "suite selection", "list, stat, validate, characterize, explore"};
+    static const FlagGroup kSize{
+        "input size",
+        "list, stat, record, characterize, corun, explore, phases"};
+    static const FlagGroup kInput{"single pair", "stat"};
+    static const FlagGroup kSample{
+        "sample length",
+        "stat, validate, record, characterize, subset, corun, explore, "
+        "phases"};
+    static const FlagGroup kWarmup{
+        "warmup length",
+        "stat, validate, characterize, subset, corun, explore"};
+    static const FlagGroup kTable{"table output",
+                                  "characterize, corun, explore"};
+    static const FlagGroup kCache{"result cache",
+                                  "characterize, subset, corun, explore"};
+    static const FlagGroup kOut{"output file", "record, merge"};
+    static const FlagGroup kSubset{"subset selection", "subset"};
+    static const FlagGroup kValidate{"profile validation", "validate"};
     static const FlagGroup kFaults{"fault isolation", kPairRunners};
     static const FlagGroup kTelemetry{"telemetry", "stat, characterize"};
     static const FlagGroup kCampaign{"campaign flags",
@@ -1266,25 +1286,25 @@ flagTable()
     static const FlagGroup kArena{"trace capture/replay",
                                   "corun, explore"};
     static const std::vector<FlagSpec> table = {
-        {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
-         kCommon},
-        {"size", "test|train|ref", "input size (default ref)", kCommon},
-        {"input", "N", "1-based input index (default 1)", kCommon},
-        {"sample", "N",
-         "simulated micro-ops measured per pair (at least 1000)", kCommon},
-        {"warmup", "N", "simulated micro-ops warmed before measuring",
-         kCommon},
-        {"predictor", "NAME",
-         "static-taken|bimodal|gshare|tournament|tage", kCommon},
-        {"prefetcher", "NAME", "none|next-line|stride|stream", kCommon},
-        {"set", "rate|speed", "pair set for subset", kCommon},
-        {"clusters", "N", "force the subset size", kCommon},
-        {"csv", "", "CSV output (characterize)", kCommon},
-        {"no-cache", "", "ignore the result cache", kCommon},
-        {"out", "FILE", "output path (record)", kCommon},
-        {"tolerance", "N", "allowed deviation in pp (validate)", kCommon},
-        {"strict", "", "nonzero exit on deviations (validate)", kCommon},
         {"help", "", "print this help", kCommon},
+        {"suite", "cpu2017|cpu2006", "which suite (default cpu2017)",
+         kSuite},
+        {"size", "test|train|ref", "input size (default ref)", kSize},
+        {"input", "N", "1-based input index (default 1)", kInput},
+        {"sample", "N",
+         "simulated micro-ops measured per pair (at least 1000)", kSample},
+        {"warmup", "N", "simulated micro-ops warmed before measuring",
+         kWarmup},
+        {"csv", "", "print the result table as CSV", kTable},
+        {"no-cache", "", "ignore the result cache", kCache},
+        {"out", "FILE", "trace file (record) or merged journal (merge)",
+         kOut},
+        {"set", "rate|speed", "pair set to subset (default rate)",
+         kSubset},
+        {"clusters", "N", "force the subset size", kSubset},
+        {"tolerance", "N", "allowed deviation in pp (default 12)",
+         kValidate},
+        {"strict", "", "nonzero exit on deviations", kValidate},
         {"retries", "N", "retry failed pairs up to N times", kFaults},
         {"retry-backoff-ms", "N",
          "base backoff between retries (doubles per attempt)", kFaults},
@@ -1341,6 +1361,9 @@ flagTable()
          "context-interleave granularity in micro-ops (contention "
          "semantics: part of the config key)",
          kCorun},
+        {"predictor", "NAME",
+         "static-taken|bimodal|gshare|tournament|tage", kUarch},
+        {"prefetcher", "NAME", "none|next-line|stride|stream", kUarch},
         {"l2-prefetcher", "NAME",
          "none|next-line|stride|stream at the L2 (config-key member)",
          kUarch},
