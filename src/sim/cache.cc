@@ -245,6 +245,9 @@ SetAssocCache::touch(std::uint64_t set, unsigned way)
 void
 SetAssocCache::plruTouch(std::uint64_t set, unsigned way)
 {
+    // A one-way set has no tree bits: way 0 is the only victim.
+    if (config_.assoc == 1)
+        return;
     // Walk root-to-leaf, pointing each node away from this way.
     std::uint8_t *bits = &plruBits_[set * (config_.assoc - 1)];
     unsigned node = 0;
@@ -282,6 +285,8 @@ SetAssocCache::victimWay(std::uint64_t set)
         return victim;
       }
       case ReplacementPolicy::TreePlru: {
+        if (config_.assoc == 1)
+            return 0;
         const std::uint8_t *bits = &plruBits_[set * (config_.assoc - 1)];
         unsigned node = 0;
         unsigned lo = 0, hi = config_.assoc;

@@ -111,27 +111,19 @@ MulticoreSimulator::runEach(
         }
     }
 
+    // Without a warmup the snapshots stay empty and the cycles zero,
+    // so the measured window is the whole run.
     std::vector<SimResult> parts;
     parts.reserve(cores_.size());
     for (std::size_t c = 0; c < cores_.size(); ++c) {
-        SimResult part = cores_[c]->finish(*sources[c]);
-        if (warmup_ops_per_core > 0) {
-            // A source shorter than the warmup yields an empty
-            // measured interval for that core.
-            if (!warm[c]) {
-                warm_snapshot[c] = cores_[c]->snapshot();
-                warm_cycles[c] = cores_[c]->core().cycles();
-            }
-            const std::uint64_t part_vsz =
-                part.counters.get(PerfEvent::VszBytes);
-            part.counters = part.counters.diff(warm_snapshot[c]);
-            part.counters.set(PerfEvent::VszBytes, part_vsz);
-            part.counters.set(PerfEvent::RssBytes,
-                              cores_[c]->footprint().rssBytes());
-            part.cycles -= warm_cycles[c];
+        // A source shorter than the warmup yields an empty measured
+        // interval for that core.
+        if (!warm[c]) {
+            warm_snapshot[c] = cores_[c]->snapshot();
+            warm_cycles[c] = cores_[c]->core().cycles();
         }
-        part.seconds = cores_[c]->core().secondsFor(part.cycles);
-        parts.push_back(std::move(part));
+        parts.push_back(cores_[c]->measuredSinceWarmup(
+            *sources[c], warm_snapshot[c], warm_cycles[c]));
     }
     return parts;
 }

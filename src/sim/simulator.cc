@@ -711,6 +711,21 @@ CpuSimulator::finish(const trace::TraceSource &source)
 }
 
 SimResult
+CpuSimulator::measuredSinceWarmup(const trace::TraceSource &source,
+                                  const counters::CounterSet &warm,
+                                  double warm_cycles)
+{
+    SimResult result = finish(source);
+    const std::uint64_t vsz = result.counters.get(PerfEvent::VszBytes);
+    result.counters = result.counters.diff(warm);
+    result.counters.set(PerfEvent::VszBytes, vsz);
+    result.counters.set(PerfEvent::RssBytes, footprint_.rssBytes());
+    result.cycles -= warm_cycles;
+    result.seconds = core_.secondsFor(result.cycles);
+    return result;
+}
+
+SimResult
 CpuSimulator::run(trace::TraceSource &source)
 {
     constexpr std::uint64_t kChunk = 1 << 20;

@@ -210,6 +210,17 @@ class CpuSimulator
     /** Finalizes after stepping manually. */
     SimResult finish(const trace::TraceSource &source);
 
+    /**
+     * The measurement window after warmup: finish() on @p source,
+     * with the counters diffed against the warm snapshot @p warm (the
+     * VSZ gauge kept whole, RSS set from the touched footprint) and
+     * cycles and seconds net of @p warm_cycles. An empty @p warm and
+     * zero @p warm_cycles (no warmup) give finish() unchanged.
+     */
+    SimResult measuredSinceWarmup(const trace::TraceSource &source,
+                                  const counters::CounterSet &warm,
+                                  double warm_cycles);
+
     const CoreModel &core() const { return core_; }
     const CacheHierarchy &hierarchy() const { return hierarchy_; }
     const BranchUnit &branchUnit() const { return branches_; }

@@ -258,8 +258,8 @@ runFanoutPair(const AppInputPair &pair,
         try {
             // The exact measurement tail of the runner's single-core
             // attempt.
-            const sim::SimResult sim_result = measuredSinceWarmup(
-                *sims[j], replays[j], warm[j], warm_cycles[j]);
+            const sim::SimResult sim_result = sims[j]->measuredSinceWarmup(
+                replays[j], warm[j], warm_cycles[j]);
             PairResult result = makePairResult(pair);
             finalizePairResult(sessions[p].runner, sim_result, result);
             row[p] = std::move(result);

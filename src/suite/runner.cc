@@ -172,10 +172,9 @@ class Watchdog
     }
 
     void
-    check(std::uint64_t executed_ops, bool &cancel_flag) const
+    check(std::uint64_t executed_ops) const
     {
         if (opBudget_ != 0 && executed_ops > opBudget_) {
-            cancel_flag = true;
             std::ostringstream os;
             os << "op budget expired: " << executed_ops << " > "
                << opBudget_ << " micro-ops";
@@ -188,7 +187,6 @@ class Watchdog
                     std::chrono::steady_clock::now() - start_)
                     .count();
             if (static_cast<std::uint64_t>(elapsed) > msBudget_) {
-                cancel_flag = true;
                 std::ostringstream os;
                 os << "wall-clock budget expired: " << elapsed << " > "
                    << msBudget_ << " ms";
@@ -241,22 +239,6 @@ makePairResult(const AppInputPair &pair)
     result.errored =
         pair.profile->isErrored(pair.size, pair.inputIndex);
     return result;
-}
-
-sim::SimResult
-measuredSinceWarmup(sim::CpuSimulator &simulator,
-                    const trace::TraceSource &source,
-                    const CounterSet &warm, double warm_cycles)
-{
-    sim::SimResult sim_result = simulator.finish(source);
-    const std::uint64_t vsz =
-        sim_result.counters.get(PerfEvent::VszBytes);
-    sim_result.counters = sim_result.counters.diff(warm);
-    sim_result.counters.set(PerfEvent::VszBytes, vsz);
-    sim_result.counters.set(PerfEvent::RssBytes,
-                            simulator.footprint().rssBytes());
-    sim_result.cycles -= warm_cycles;
-    return sim_result;
 }
 
 void
@@ -344,15 +326,13 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
 
     const Watchdog watchdog(options_.pairDeadlineOps,
                             options_.pairDeadlineMs);
-    bool cancelled = false;
 
     sim::SimResult sim_result;
     if (profile.numThreads > 1) {
         // The multicore interleaver runs to completion in one call, so
         // the op budget is enforced up front against the statically
-        // known total; cooperative cancellation still bounds the
-        // generators if the budget trips after the fact.
-        watchdog.check(build.sampleOps, cancelled);
+        // known total, before any generator exists.
+        watchdog.check(build.sampleOps);
         std::vector<std::shared_ptr<trace::SyntheticTraceGenerator>>
             generators;
         sim::MulticoreSimulator multicore(options_.system,
@@ -364,7 +344,6 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             core.setUnbatchedStepping(options_.unbatchedStepping);
             auto gen = std::make_shared<trace::SyntheticTraceGenerator>(
                 workloads::buildTraceParams(pair, build, t));
-            gen->setCancelFlag(&cancelled);
             prefillSteadyState(multicore.mutableCore(t), *gen);
             generators.push_back(std::move(gen));
         }
@@ -411,12 +390,10 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                     sampler->series());
         }
         watchdog.check(
-            sim_result.counters.get(PerfEvent::InstRetiredAny),
-            cancelled);
+            sim_result.counters.get(PerfEvent::InstRetiredAny));
     } else {
         trace::SyntheticTraceGenerator generator(
             workloads::buildTraceParams(pair, build, 0));
-        generator.setCancelFlag(&cancelled);
         sim::CpuSimulator simulator(options_.system, pair_seed);
         if (options_.batchOps != 0)
             simulator.setBatchOps(options_.batchOps);
@@ -424,7 +401,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
         prefillSteadyState(simulator, generator);
         std::uint64_t executed =
             simulator.step(generator, options_.warmupOps);
-        watchdog.check(executed, cancelled);
+        watchdog.check(executed);
         const CounterSet warm = simulator.snapshot();
         const double warm_cycles = simulator.core().cycles();
 
@@ -456,7 +433,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
             const std::uint64_t done = simulator.step(generator, chunk);
             executed += done;
             measured += done;
-            watchdog.check(executed, cancelled);
+            watchdog.check(executed);
             if (sampler)
                 sampler->onProgress(measured);
             if (done < chunk)
@@ -469,7 +446,7 @@ SuiteRunner::runPairAttempt(const AppInputPair &pair,
                     sampler->series());
         }
         sim_result =
-            measuredSinceWarmup(simulator, generator, warm, warm_cycles);
+            simulator.measuredSinceWarmup(generator, warm, warm_cycles);
     }
 
     finalizePairResult(options_, sim_result, result);

@@ -375,17 +375,6 @@ std::uint64_t pairSimSeed(const workloads::AppInputPair &pair,
 PairResult makePairResult(const workloads::AppInputPair &pair);
 
 /**
- * The single-core measurement window after warmup: finishes
- * @p simulator on @p source and returns its counters diffed against
- * the warm snapshot @p warm (the VSZ gauge kept whole, RSS set from
- * the touched footprint) and its cycles net of @p warm_cycles.
- */
-sim::SimResult measuredSinceWarmup(sim::CpuSimulator &simulator,
-                                   const trace::TraceSource &source,
-                                   const counters::CounterSet &warm,
-                                   double warm_cycles);
-
-/**
  * The shared measurement tail: installs @p sim_result into @p result
  * and scales the sampled interval back to paper units (instruction
  * billions, seconds; the profile's declared RSS/VSZ override the

@@ -52,21 +52,14 @@ TraceArena::byteSize() const
 }
 
 TraceArena
-captureArena(TraceSource &source, std::size_t expected_ops)
-{
-    TraceArena arena;
-    arena.lanes.ensure(expected_ops);
-    arena.numOps = source.nextBatchSoA(arena.lanes, 0, expected_ops);
-    arena.virtualReserveBytes = source.virtualReserveBytes();
-    return arena;
-}
-
-TraceArena
 captureArena(const SyntheticTraceParams &params)
 {
     SyntheticTraceGenerator generator(params);
-    return captureArena(generator,
-                        static_cast<std::size_t>(params.numOps));
+    TraceArena arena;
+    arena.numOps = generator.nextBatchSoA(
+        arena.lanes, 0, static_cast<std::size_t>(params.numOps));
+    arena.virtualReserveBytes = generator.virtualReserveBytes();
+    return arena;
 }
 
 std::string
@@ -192,34 +185,6 @@ ReplaySource::next(isa::MicroOp &op)
         return false;
     op = arena_->lanes.get(cursor_++);
     return true;
-}
-
-std::size_t
-ReplaySource::nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                           std::size_t n)
-{
-    out.ensure(at + n);
-    const std::size_t m = std::min(n, arena_->numOps - cursor_);
-    const MicroOpBatch &lanes = arena_->lanes;
-    std::memcpy(out.cls.data() + at, lanes.cls.data() + cursor_,
-                m * sizeof(lanes.cls[0]));
-    std::memcpy(out.kind.data() + at, lanes.kind.data() + cursor_,
-                m * sizeof(lanes.kind[0]));
-    std::memcpy(out.pc.data() + at, lanes.pc.data() + cursor_,
-                m * sizeof(lanes.pc[0]));
-    std::memcpy(out.addr.data() + at, lanes.addr.data() + cursor_,
-                m * sizeof(lanes.addr[0]));
-    std::memcpy(out.accessSize.data() + at,
-                lanes.accessSize.data() + cursor_, m);
-    std::memcpy(out.taken.data() + at, lanes.taken.data() + cursor_, m);
-    std::memcpy(out.target.data() + at, lanes.target.data() + cursor_,
-                m * sizeof(lanes.target[0]));
-    std::memcpy(out.depOnLoad.data() + at,
-                lanes.depOnLoad.data() + cursor_, m);
-    std::memcpy(out.depOnPrev.data() + at,
-                lanes.depOnPrev.data() + cursor_, m);
-    cursor_ += m;
-    return m;
 }
 
 const MicroOpBatch &

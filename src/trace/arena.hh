@@ -6,7 +6,7 @@
  * SoA MicroOpBatch lanes. Capturing runs the generator exactly once;
  * every subsequent simulation of the same (profile, seed,
  * trace-config) replays the captured lanes through a ReplaySource,
- * whose batched surface serves the lanes zero-copy (the simulator
+ * whose nextLanes() serves the lanes zero-copy (the simulator
  * consumes a view straight into the arena instead of a per-batch
  * regeneration). Replay is draw-for-draw identical to live
  * generation -- the golden tests in tests/trace/arena_test.cc pin it
@@ -47,15 +47,9 @@ struct TraceArena
     std::uint64_t byteSize() const;
 };
 
-/**
- * Drains @p source to exhaustion (at most @p expected_ops, the
- * caller's knowledge of the stream length) into a fresh arena with
- * one bulk nextBatchSoA pull. The source must be freshly constructed
- * or reset.
- */
-TraceArena captureArena(TraceSource &source, std::size_t expected_ops);
-
-/** Captures the stream of a generator built from @p params. */
+/** Captures the whole stream of a generator built from @p params
+ *  into a fresh arena with one bulk lane write (lanes sized to
+ *  params.numOps up front). */
 TraceArena captureArena(const SyntheticTraceParams &params);
 
 /**
@@ -81,9 +75,8 @@ std::unique_ptr<TraceArena> loadArena(const std::string &path);
 
 /**
  * Replays a captured arena as a TraceSource. Satisfies the full
- * stream contract: next(), nextBatchSoA() and the zero-copy
- * nextLanes() all deliver the identical op sequence, mixed freely,
- * and reset() rewinds exactly.
+ * stream contract: next() and the zero-copy nextLanes() deliver the
+ * identical op sequence, mixed freely, and reset() rewinds exactly.
  *
  * Many ReplaySources may share one arena (each holds its own cursor);
  * the shared_ptr keeps the arena alive across store evictions.
@@ -94,8 +87,6 @@ class ReplaySource : public TraceSource
     explicit ReplaySource(std::shared_ptr<const TraceArena> arena);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                             std::size_t n) override;
     /** Serves the arena's own lanes; @p buf is never touched. */
     const MicroOpBatch &nextLanes(MicroOpBatch &buf, std::size_t n,
                                   std::size_t &at,

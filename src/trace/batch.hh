@@ -21,6 +21,7 @@
 #ifndef SPEC17_TRACE_BATCH_HH_
 #define SPEC17_TRACE_BATCH_HH_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -106,6 +107,28 @@ struct MicroOpBatch
         target[i] = op.target;
         depOnLoad[i] = op.depOnLoad ? 1 : 0;
         depOnPrev[i] = op.depOnPrev ? 1 : 0;
+    }
+
+    /** Copies ops [from, from+n) of every lane of @p src into slots
+     *  [at, at+n) of this batch, growing it as needed (@p src must be
+     *  another batch). */
+    void
+    copyFrom(const MicroOpBatch &src, std::size_t from, std::size_t n,
+             std::size_t at)
+    {
+        ensure(at + n);
+        const auto lane = [&](auto &dst, const auto &from_lane) {
+            std::copy_n(from_lane.data() + from, n, dst.data() + at);
+        };
+        lane(cls, src.cls);
+        lane(kind, src.kind);
+        lane(pc, src.pc);
+        lane(addr, src.addr);
+        lane(accessSize, src.accessSize);
+        lane(taken, src.taken);
+        lane(target, src.target);
+        lane(depOnLoad, src.depOnLoad);
+        lane(depOnPrev, src.depOnPrev);
     }
 
     /** Gathers lane slot @p i back into an AoS op. */

@@ -143,23 +143,25 @@ FileTrace::next(isa::MicroOp &op)
     return true;
 }
 
-std::size_t
-FileTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
+const MicroOpBatch &
+FileTrace::nextLanes(MicroOpBatch &buf, std::size_t n, std::size_t &at,
+                     std::size_t &got)
 {
-    out.ensure(at + n);
-    std::size_t filled = 0;
-    while (filled < n && delivered_ < count_) {
+    buf.ensure(n);
+    at = 0;
+    got = 0;
+    while (got < n && delivered_ < count_) {
         if (rawPos_ == rawEnd_)
             fill();
-        const std::size_t take = std::min(n - filled, rawEnd_ - rawPos_);
+        const std::size_t take = std::min(n - got, rawEnd_ - rawPos_);
         for (std::size_t i = 0; i < take; ++i)
-            out.set(at + filled + i,
+            buf.set(got + i,
                     unpack(raw_.data() + (rawPos_ + i) * kRecordBytes));
         rawPos_ += take;
         delivered_ += take;
-        filled += take;
+        got += take;
     }
-    return filled;
+    return buf;
 }
 
 void

@@ -33,8 +33,8 @@ std::uint64_t writeTrace(const std::string &path, TraceSource &source);
 /**
  * Streams a trace file from disk. Records are read through one
  * fixed-size raw buffer and unpacked on delivery, whether per op
- * (next) or into lanes (nextBatchSoA); reset() rewinds to the first
- * record.
+ * (next) or into the caller's lanes (nextLanes); reset() rewinds to
+ * the first record.
  */
 class FileTrace : public TraceSource
 {
@@ -43,8 +43,10 @@ class FileTrace : public TraceSource
     explicit FileTrace(const std::string &path);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                             std::size_t n) override;
+    /** Unpacks into @p buf from slot 0. */
+    const MicroOpBatch &nextLanes(MicroOpBatch &buf, std::size_t n,
+                                  std::size_t &at,
+                                  std::size_t &got) override;
     void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 

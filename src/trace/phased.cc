@@ -19,48 +19,37 @@ PhasedTrace::next(isa::MicroOp &op)
     while (current_ < phases_.size()) {
         if (phases_[current_]->next(op))
             return true;
-        // A child that produced nothing is either exhausted or merely
-        // paused by cooperative cancellation. Advancing past a paused
-        // child would silently drop its remaining ops and splice the
-        // next phase's head into the stream, so only an exhausted
-        // child moves the cursor.
-        if (phases_[current_]->cancelled())
-            return false;
         ++current_;
     }
     return false;
 }
 
-std::size_t
-PhasedTrace::nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
+const MicroOpBatch &
+PhasedTrace::nextLanes(MicroOpBatch &buf, std::size_t n, std::size_t &at,
+                       std::size_t &got)
 {
-    // One phase-boundary check per child batch instead of per op; a
-    // batch spanning a phase boundary is stitched together from the
-    // tail of one child and the head of the next, each child writing
-    // its contribution at the running lane position.
-    out.ensure(at + n);
-    std::size_t filled = 0;
-    while (filled < n && current_ < phases_.size()) {
-        const std::size_t want = n - filled;
-        const std::size_t got =
-            phases_[current_]->nextBatchSoA(out, at + filled, want);
-        filled += got;
-        if (got < want) {
-            // Short child return: exhausted -> next phase; paused by
-            // cancellation -> stop here so the phase remainder resumes
-            // once the flag clears (matches the next()-loop stream).
-            if (phases_[current_]->cancelled())
-                break;
+    // A pull one child serves alone -- in full, or short as the last
+    // phase ends -- returns that child's lanes; a pull spanning a
+    // boundary is stitched into buf.
+    at = 0;
+    got = 0;
+    while (got < n && current_ < phases_.size()) {
+        const std::size_t want = n - got;
+        std::size_t child_at = 0;
+        std::size_t child_got = 0;
+        const MicroOpBatch &lanes = phases_[current_]->nextLanes(
+            childBuf_, want, child_at, child_got);
+        if (child_got < want)
             ++current_;
+        if (got == 0 && (child_got == want || current_ == phases_.size())) {
+            at = child_at;
+            got = child_got;
+            return lanes;
         }
+        buf.copyFrom(lanes, child_at, child_got, got);
+        got += child_got;
     }
-    return filled;
-}
-
-bool
-PhasedTrace::cancelled() const
-{
-    return current_ < phases_.size() && phases_[current_]->cancelled();
+    return buf;
 }
 
 void

@@ -6,6 +6,11 @@
  * exploiting such phase behaviour, and this combinator lets tests,
  * examples and the phase analyzer construct programs with known
  * phase structure.
+ *
+ * A batched pull that stays inside one phase serves that child's
+ * lanes as they are; only a pull straddling a phase boundary is
+ * stitched together by copying each child's contribution into the
+ * caller's buffer.
  */
 
 #ifndef SPEC17_TRACE_PHASED_HH_
@@ -28,13 +33,11 @@ class PhasedTrace : public TraceSource
         std::vector<std::shared_ptr<TraceSource>> phases);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                             std::size_t n) override;
+    const MicroOpBatch &nextLanes(MicroOpBatch &buf, std::size_t n,
+                                  std::size_t &at,
+                                  std::size_t &got) override;
     void reset() override;
     std::uint64_t virtualReserveBytes() const override;
-
-    /** A phased trace is paused exactly while its current child is. */
-    bool cancelled() const override;
 
     /** Number of child phases. */
     std::size_t numPhases() const { return phases_.size(); }
@@ -45,6 +48,9 @@ class PhasedTrace : public TraceSource
   private:
     std::vector<std::shared_ptr<TraceSource>> phases_;
     std::size_t current_ = 0;
+    /** The buffer children fill, so a straddling pull can stitch
+     *  their contributions into the caller's buffer. */
+    MicroOpBatch childBuf_;
 };
 
 } // namespace trace

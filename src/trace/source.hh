@@ -1,6 +1,8 @@
 /**
  * @file
- * Abstract micro-op trace source consumed by the CPU simulator.
+ * Abstract micro-op trace source consumed by the CPU simulator: one
+ * per-op pull (next(), the reference lane's oracle) and one batched
+ * lane pull (nextLanes()) over the same stream.
  */
 
 #ifndef SPEC17_TRACE_SOURCE_HH_
@@ -19,14 +21,12 @@ namespace trace {
  * A finite stream of micro-ops. Sources are pull-based: the per-op
  * reference lane calls next() until it returns false; the simulator's
  * batched lane pulls whole chunks of SoA lanes through nextLanes()
- * (see docs/performance.md), which by default fills them through
- * nextBatchSoA().
+ * (see docs/performance.md).
  *
- * The three surfaces describe one stream: pulling N ops one at a
- * time through next() and pulling them through nextBatchSoA() or
- * nextLanes() in chunks of any size must yield the identical op
- * sequence, and the surfaces may be mixed freely at any point of the
- * stream.
+ * The two surfaces describe one stream: pulling N ops one at a time
+ * through next() and pulling them through nextLanes() in chunks of
+ * any size must yield the identical op sequence, and the surfaces may
+ * be mixed freely at any point of the stream.
  *
  * reset() rewinds to the first micro-op and must reproduce the
  * identical stream (the framework's determinism guarantee hinges on
@@ -49,47 +49,20 @@ class TraceSource
     virtual bool next(isa::MicroOp &op) = 0;
 
     /**
-     * Produces up to @p n micro-ops into the SoA lanes of @p out,
-     * starting at lane slot @p at. Writers fill every lane of every
-     * delivered op (see MicroOpBatch).
-     *
-     * Semantically equivalent to calling next() @p n times: the ops
-     * delivered and the post-call source state are identical. A short
-     * return (fewer than @p n ops) means the stream ended -- or, for
-     * cancellable sources, that cooperative cancellation engaged --
-     * exactly where next() would have returned false; subsequent
-     * calls return 0 until reset().
-     *
-     * The default implementation loops next(); sources on the hot
-     * path override it to fill lanes directly and amortize their
-     * per-call overhead (RNG setup, phase-boundary checks, buffered
-     * file reads).
-     *
-     * @return number of micro-ops written (<= @p n); lanes are sized
-     *         to at least @p at + @p n on entry.
-     */
-    virtual std::size_t
-    nextBatchSoA(MicroOpBatch &out, std::size_t at, std::size_t n)
-    {
-        out.ensure(at + n);
-        isa::MicroOp op;
-        std::size_t filled = 0;
-        while (filled < n && next(op))
-            out.set(at + filled++, op);
-        return filled;
-    }
-
-    /**
      * The batched lane's pull: delivers up to @p n micro-ops and
      * returns the lanes holding them, with @p at set to the slot of
      * the first delivered op and @p got to the number delivered
-     * (<= @p n). The stream contract is that of nextBatchSoA(): the
-     * delivered ops and the post-call state are exactly those of an
-     * @p n-op pull, and a short @p got has the same end-of-stream /
-     * cancellation meaning.
+     * (<= @p n). Semantically equivalent to calling next() @p n
+     * times: the delivered ops and the post-call source state are
+     * identical, and a short @p got means the stream ended exactly
+     * where next() would have returned false; subsequent pulls
+     * deliver nothing until reset(). Every delivered op has every
+     * lane filled (see MicroOpBatch).
      *
-     * The default fills the caller's @p buf from slot 0 through
-     * nextBatchSoA() and returns it. A source with a resident lane
+     * The default loops next() into the caller's @p buf from slot 0
+     * and returns it; sources on the hot path override it to fill
+     * @p buf directly and amortize their per-call overhead (RNG
+     * setup, buffered file reads). A source with a resident lane
      * representation -- the replay arena (trace/arena.hh) -- instead
      * returns its own lanes without a copy and leaves @p buf alone.
      * Either way the returned lanes stay valid until the source or
@@ -100,21 +73,14 @@ class TraceSource
     nextLanes(MicroOpBatch &buf, std::size_t n, std::size_t &at,
               std::size_t &got)
     {
+        buf.ensure(n);
+        isa::MicroOp op;
         at = 0;
-        got = nextBatchSoA(buf, 0, n);
+        got = 0;
+        while (got < n && next(op))
+            buf.set(got++, op);
         return buf;
     }
-
-    /**
-     * True while cooperative cancellation is holding the stream back:
-     * a short return in that state does NOT mean the ops ran out, and
-     * clearing the cancel flag resumes exactly where the stream
-     * stopped. Sources without a cancellation mechanism return false.
-     * Combinators (PhasedTrace) consult this to distinguish a child
-     * that finished from a child that was paused -- advancing past a
-     * merely-paused child would silently drop its remainder.
-     */
-    virtual bool cancelled() const { return false; }
 
     /** Rewinds to the beginning of the identical stream (see the
      *  class comment for the exact contract). */

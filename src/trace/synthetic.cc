@@ -568,19 +568,26 @@ SyntheticTraceGenerator::emitOp(isa::MicroOp &op, const EmitConsts &k)
 bool
 SyntheticTraceGenerator::next(isa::MicroOp &op)
 {
-    if (cancelled() || emitted_ >= params_.numOps)
+    if (emitted_ >= params_.numOps)
         return false;
     emitOp(op, emitConsts());
     ++emitted_;
     return true;
 }
 
+const MicroOpBatch &
+SyntheticTraceGenerator::nextLanes(MicroOpBatch &buf, std::size_t n,
+                                   std::size_t &at, std::size_t &got)
+{
+    at = 0;
+    got = nextBatchSoA(buf, 0, n);
+    return buf;
+}
+
 std::size_t
 SyntheticTraceGenerator::nextBatchSoA(MicroOpBatch &out, std::size_t at,
                                       std::size_t n)
 {
-    if (cancel_ != nullptr && *cancel_)
-        return 0;
     const std::uint64_t remaining = params_.numOps - emitted_;
     if (remaining < n)
         n = static_cast<std::size_t>(remaining);

@@ -155,28 +155,25 @@ class SyntheticTraceGenerator : public TraceSource
     explicit SyntheticTraceGenerator(SyntheticTraceParams params);
 
     bool next(isa::MicroOp &op) override;
-    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
-                             std::size_t n) override;
+    /** Fills @p buf from slot 0 through nextBatchSoA(). */
+    const MicroOpBatch &nextLanes(MicroOpBatch &buf, std::size_t n,
+                                  std::size_t &at,
+                                  std::size_t &got) override;
     void reset() override;
     std::uint64_t virtualReserveBytes() const override;
 
-    /** True while the borrowed cancel flag is raised (see
-     *  setCancelFlag); the stream resumes when it clears. */
-    bool
-    cancelled() const override
-    {
-        return cancel_ != nullptr && *cancel_;
-    }
+    /**
+     * The generator's lane writer: emits up to @p n micro-ops into
+     * the lanes of @p out starting at slot @p at (growing @p out as
+     * needed), exactly the ops @p n next() calls would deliver.
+     * Arena capture writes a whole stream with one call.
+     * @return number of micro-ops written (< @p n only at the end of
+     *         the stream).
+     */
+    std::size_t nextBatchSoA(MicroOpBatch &out, std::size_t at,
+                             std::size_t n);
 
     const SyntheticTraceParams &params() const { return params_; }
-
-    /**
-     * Cooperative cancellation: while @p flag points at a true value,
-     * next() emits nothing and reports end-of-stream, letting a
-     * watchdog stop runaway generation at the next micro-op boundary.
-     * The flag is borrowed, not owned; pass nullptr to detach.
-     */
-    void setCancelFlag(const bool *flag) { cancel_ = flag; }
 
     /** Micro-ops emitted so far (telemetry counter). */
     std::uint64_t emittedOps() const { return emitted_; }
@@ -246,7 +243,6 @@ class SyntheticTraceGenerator : public TraceSource
 
     SyntheticTraceParams params_;
     Rng rng_;
-    const bool *cancel_ = nullptr;
     std::uint64_t emitted_ = 0;
     std::uint64_t pc_ = 0;
 

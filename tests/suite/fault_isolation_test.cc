@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -191,12 +192,44 @@ TEST(FaultIsolation, StalledGenerationTripsTheOpBudgetWatchdog)
     ASSERT_NE(result.finalFailure(), nullptr);
     EXPECT_EQ(result.finalFailure()->category,
               FailureCategory::Deadline);
-    EXPECT_GT(result.finalFailure()->opsCompleted,
-              options.pairDeadlineOps);
+    // One 1 Mi-op chunk drains the whole 4x runaway stream before
+    // the budget is checked at the chunk boundary: the watchdog ends
+    // the attempt, it never cuts generation short.
+    EXPECT_EQ(result.finalFailure()->opsCompleted,
+              options.pairDeadlineOps * 4);
 
     // The same budget leaves healthy pairs untouched.
     const auto healthy = runner.runPair(pairs.back());
     EXPECT_FALSE(healthy.errored);
+}
+
+TEST(FaultIsolation, StalledThreadedPairTripsTheUpFrontBudgetCheck)
+{
+    // A threaded pair's interleaver runs to completion in one call,
+    // so its op budget is checked up front against the whole runaway
+    // sample, before any generator exists.
+    const auto pairs =
+        enumeratePairs(workloads::cpu2017Suite(), InputSize::Test);
+    const auto threaded =
+        std::find_if(pairs.begin(), pairs.end(), [](const auto &pair) {
+            return pair.profile->numThreads > 1;
+        });
+    ASSERT_NE(threaded, pairs.end());
+
+    ScriptedFaultInjector injector;
+    injector.set(threaded->displayName(), 0,
+                 FaultInjector::Action::Stall);
+    RunnerOptions options = fastOptions();
+    options.faultInjector = &injector;
+    options.pairDeadlineOps = 200000; // > sample + warmup
+    SuiteRunner runner(options);
+
+    const auto result = runner.runPair(*threaded);
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures.front().category,
+              FailureCategory::Deadline);
+    EXPECT_EQ(result.failures.front().opsCompleted,
+              options.pairDeadlineOps * 4);
 }
 
 TEST(FaultIsolation, RetryConfigDoesNotPerturbFaultFreeResults)

@@ -2,8 +2,8 @@
  * @file
  * Trace-arena golden tests: a captured arena replayed through
  * ReplaySource must be draw-for-draw identical to live generation on
- * every delivery surface (next(), nextBatchSoA(), the zero-copy
- * nextLanes()), mixed freely and across reset(); the S17A
+ * both delivery surfaces (next() and the zero-copy nextLanes()),
+ * mixed freely and across reset(); the S17A
  * spill format must round-trip an arena exactly and reject torn or
  * foreign files by returning nullptr (never aborting a run).
  */
@@ -50,17 +50,18 @@ drainPerOp(TraceSource &source)
     return ops;
 }
 
-/** Drains through nextBatchSoA at a nonzero lane offset. */
+/** Drains through nextLanes(), reading each pull at its slot. */
 std::vector<isa::MicroOp>
 drainBatched(TraceSource &source, std::size_t batch)
 {
-    constexpr std::size_t kAt = 3;
     std::vector<isa::MicroOp> ops;
     MicroOpBatch buf;
     while (true) {
-        const std::size_t got = source.nextBatchSoA(buf, kAt, batch);
+        std::size_t at = 0;
+        std::size_t got = 0;
+        const MicroOpBatch &lanes = source.nextLanes(buf, batch, at, got);
         for (std::size_t i = 0; i < got; ++i)
-            ops.push_back(buf.get(kAt + i));
+            ops.push_back(lanes.get(at + i));
         if (got < batch)
             return ops;
     }
@@ -137,17 +138,17 @@ TEST(Arena, SurfacesMixFreelyAndResetRewindsExactly)
     isa::MicroOp op;
     for (int i = 0; i < 13 && replay.next(op); ++i)
         mixed.push_back(op);
-    MicroOpBatch lanes;
-    std::size_t got = replay.nextBatchSoA(lanes, 0, 777);
-    for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(lanes.get(i));
-    got = replay.nextBatchSoA(lanes, 0, 500);
-    for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(lanes.get(i));
-    std::size_t at = 0;
-    const MicroOpBatch &zero = replay.nextLanes(lanes, 1000, at, got);
-    for (std::size_t i = 0; i < got; ++i)
-        mixed.push_back(zero.get(at + i));
+    MicroOpBatch buf;
+    for (const std::size_t n : {777, 500, 1000}) {
+        std::size_t at = 0;
+        std::size_t got = 0;
+        const MicroOpBatch &lanes = replay.nextLanes(buf, n, at, got);
+        ASSERT_EQ(got, n);
+        for (std::size_t i = 0; i < got; ++i)
+            mixed.push_back(lanes.get(at + i));
+        if (replay.next(op))
+            mixed.push_back(op);
+    }
     while (replay.next(op))
         mixed.push_back(op);
     expectSameStream(reference, mixed);

@@ -1,10 +1,9 @@
 /**
  * @file
- * Batched trace delivery: TraceSource::nextLanes() and nextBatchSoA()
- * must describe the same stream as next() -- op for op, at any batch
- * size, across phase boundaries, through the default next() loop, and
- * mixed freely with per-op pulls -- and reset() after a partially
- * consumed batch must
+ * Batched trace delivery: TraceSource::nextLanes() must describe the
+ * same stream as next() -- op for op, at any batch size, across phase
+ * boundaries, through the default next() loop, and mixed freely with
+ * per-op pulls -- and reset() after a partially consumed batch must
  * replay the identical stream from the top (the contract retry-with-
  * seed-perturbation and record/replay depend on).
  */
@@ -14,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "trace/arena.hh"
 #include "trace/file.hh"
 #include "trace/kernels.hh"
 #include "trace/phased.hh"
@@ -165,7 +166,7 @@ TEST(TraceBatch, FileTraceBatchMatchesPerOp)
 
 TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
 {
-    // Rotates next(), nextLanes() and nextBatchSoA() pulls until the
+    // Rotates next() and nextLanes() pulls of two sizes until the
     // source drains.
     const auto drain_mixed = [](TraceSource &source) {
         std::vector<isa::MicroOp> ops;
@@ -179,12 +180,8 @@ TEST(TraceBatch, MixedPerOpAndBatchPullsAreOneStream)
             } else if (ops.size() % 3 == 1) {
                 if (pullLanes(source, buf, 17, ops) < 17)
                     break;
-            } else {
-                const std::size_t got = source.nextBatchSoA(buf, 0, 5);
-                for (std::size_t i = 0; i < got; ++i)
-                    ops.push_back(buf.get(i));
-                if (got < 5)
-                    break;
+            } else if (pullLanes(source, buf, 5, ops) < 5) {
+                break;
             }
         }
         return ops;
@@ -226,7 +223,8 @@ TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
         // Consume a partial batch (an odd count, mid-stream), then
         // rewind and replay in full.
         MicroOpBatch buf;
-        ASSERT_EQ(source.nextBatchSoA(buf, 0, 37), 37u);
+        std::vector<isa::MicroOp> partial;
+        ASSERT_EQ(pullLanes(source, buf, 37, partial), 37u);
         source.reset();
         expectSameStream(drainBatched(source, 64), golden);
     };
@@ -251,24 +249,36 @@ TEST(TraceBatch, ResetAfterPartialBatchReplaysIdenticalStream)
     std::remove(path.c_str());
 }
 
-/** Drains through nextBatchSoA, gathering lanes back to AoS ops. */
+/** Drains through nextLanes() into a buffer whose every lane byte is
+ *  poisoned before each pull, so a writer that skips a lane reads
+ *  back garbage instead of a stale default. */
 std::vector<isa::MicroOp>
 drainSoA(TraceSource &source, std::size_t batch)
 {
+    const auto poison = [](auto &lane) {
+        std::memset(lane.data(), 0x5a, lane.size() * sizeof(lane[0]));
+    };
     std::vector<isa::MicroOp> ops;
-    MicroOpBatch lanes;
+    MicroOpBatch buf;
     while (true) {
-        const std::size_t got = source.nextBatchSoA(lanes, 0, batch);
-        for (std::size_t i = 0; i < got; ++i)
-            ops.push_back(lanes.get(i));
-        if (got < batch)
+        buf.ensure(batch);
+        poison(buf.cls);
+        poison(buf.kind);
+        poison(buf.pc);
+        poison(buf.addr);
+        poison(buf.accessSize);
+        poison(buf.taken);
+        poison(buf.target);
+        poison(buf.depOnLoad);
+        poison(buf.depOnPrev);
+        if (pullLanes(source, buf, batch, ops) < batch)
             return ops;
     }
 }
 
 TEST(TraceBatch, SoaLanesDescribeTheSameStream)
 {
-    // Every SoA writer (synthetic native, phased stitching, file
+    // Every lane writer (synthetic native, phased stitching, file
     // unpack, and the base-class next() loop) must fill every
     // lane with exactly the fields a next() pull would deliver.
     {
@@ -313,8 +323,8 @@ TEST(TraceBatch, SoaLanesDescribeTheSameStream)
         std::remove(path.c_str());
     }
     {
-        // Kernels don't override nextBatchSoA: the default next()
-        // loop must match too.
+        // Kernels don't override nextLanes: the default next() loop
+        // must match too.
         MatrixWalkKernel per_op(64, 96, /*row_major=*/false, 3);
         const auto golden = drainPerOp(per_op);
         MatrixWalkKernel adapted(64, 96, /*row_major=*/false, 3);
@@ -324,9 +334,9 @@ TEST(TraceBatch, SoaLanesDescribeTheSameStream)
 
 TEST(TraceBatch, SoaPullsAtAnOffsetStitchOneStream)
 {
-    // The `at` parameter lets a combinator place a child's ops deeper
-    // in the lanes; a chunk assembled from two offset pulls must read
-    // back as the contiguous stream.
+    // The generator's concrete lane writer takes a slot offset; a
+    // chunk assembled from two offset writes must read back as the
+    // contiguous stream.
     SyntheticTraceGenerator per_op(params(200));
     const auto golden = drainPerOp(per_op);
 
@@ -345,7 +355,9 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
     // Golden case for the phase-boundary remainder contract: a batch
     // sized to straddle the first phase's end must contain the tail
     // of phase 0 followed by the head of phase 1, exactly as a
-    // next() loop would deliver them -- on both batch surfaces.
+    // next() loop would deliver them. Only the straddling pull is
+    // stitched into the caller's buffer; the in-phase pull serves
+    // the child's lanes.
     const auto make = [] {
         SyntheticTraceParams second = params(100);
         second.seed = 1234;  // distinct stream on each side
@@ -365,116 +377,53 @@ TEST(TraceBatch, PhasedGoldenBatchSplitAcrossATransition)
     // -- the second one crosses the boundary at op 100.
     PhasedTrace pulled = make();
     MicroOpBatch buf;
-    std::vector<isa::MicroOp> head;
-    ASSERT_EQ(pullLanes(pulled, buf, 64, head), 64u);
+    std::size_t at = 0;
+    std::size_t got = 0;
+    const MicroOpBatch *lanes = &pulled.nextLanes(buf, 64, at, got);
+    ASSERT_EQ(got, 64u);
+    EXPECT_NE(lanes, &buf);
     ASSERT_EQ(pulled.currentPhase(), 0u);
-    std::vector<isa::MicroOp> straddle;
-    ASSERT_EQ(pullLanes(pulled, buf, 64, straddle), 64u);
+    lanes = &pulled.nextLanes(buf, 64, at, got);
+    ASSERT_EQ(got, 64u);
+    EXPECT_EQ(lanes, &buf);
     EXPECT_EQ(pulled.currentPhase(), 1u);
     for (std::size_t i = 0; i < 64; ++i) {
-        EXPECT_EQ(straddle[i].pc, golden[64 + i].pc) << "op " << i;
-        EXPECT_EQ(straddle[i].cls, golden[64 + i].cls) << "op " << i;
-    }
-
-    PhasedTrace soa = make();
-    MicroOpBatch lanes;
-    ASSERT_EQ(soa.nextBatchSoA(lanes, 0, 64), 64u);
-    ASSERT_EQ(soa.nextBatchSoA(lanes, 64, 64), 64u);
-    for (std::size_t i = 0; i < 128; ++i) {
-        const isa::MicroOp op = lanes.get(i);
-        EXPECT_EQ(op.pc, golden[i].pc) << "op " << i;
-        EXPECT_EQ(op.effAddr, golden[i].effAddr) << "op " << i;
+        const isa::MicroOp op = lanes->get(at + i);
+        EXPECT_EQ(op.pc, golden[64 + i].pc) << "op " << i;
+        EXPECT_EQ(op.cls, golden[64 + i].cls) << "op " << i;
+        EXPECT_EQ(op.effAddr, golden[64 + i].effAddr) << "op " << i;
     }
 }
 
-TEST(TraceBatch, CancellationStopsABatchAtTheFlag)
+TEST(TraceBatch, PhasedStitchesReplayLanesServedAtAnOffset)
 {
-    bool cancelled = false;
-    SyntheticTraceGenerator gen(params());
-    gen.setCancelFlag(&cancelled);
-
-    MicroOpBatch buf;
-    ASSERT_EQ(gen.nextBatchSoA(buf, 0, 64), 64u);
-    cancelled = true;
-    EXPECT_EQ(gen.nextBatchSoA(buf, 0, 64), 0u);
-    EXPECT_EQ(gen.emittedOps(), 64u);
-
-    // Clearing the flag resumes exactly where the stream stopped,
-    // like next() does.
-    cancelled = false;
-    EXPECT_EQ(gen.nextBatchSoA(buf, 0, 64), 64u);
-    EXPECT_EQ(gen.emittedOps(), 128u);
-}
-
-TEST(TraceBatch, PhasedDoesNotDropACancelledPhaseRemainder)
-{
-    // Regression: a child returning short because its cancel flag is
-    // raised is paused, not exhausted. PhasedTrace used to advance
-    // past it anyway, silently dropping the phase's remaining ops and
-    // splicing the next phase's head into the stream. cancelled()
-    // distinguishes the two cases on every surface.
-    const auto make = [](const bool *flag) {
-        auto first =
-            std::make_shared<SyntheticTraceGenerator>(params(100));
-        first->setCancelFlag(flag);
-        SyntheticTraceParams second = params(100);
-        second.seed = 4321;
+    // A replay child serves its arena's lanes at a running slot
+    // offset, so a pull straddling its end must copy the arena range
+    // from that offset, not from slot 0.
+    const auto replay = [](std::uint64_t num_ops, std::uint64_t seed) {
+        SyntheticTraceParams p = params(num_ops);
+        p.seed = seed;
+        return std::make_shared<ReplaySource>(
+            std::make_shared<const TraceArena>(captureArena(p)));
+    };
+    const auto make = [&] {
         std::vector<std::shared_ptr<TraceSource>> phases;
-        phases.push_back(first);
+        phases.push_back(replay(100, 7));
         phases.push_back(
-            std::make_shared<SyntheticTraceGenerator>(second));
+            std::make_shared<SyntheticTraceGenerator>(params(150)));
+        phases.push_back(replay(90, 8));
         return PhasedTrace(std::move(phases));
     };
 
-    PhasedTrace golden_trace = make(nullptr);
-    const auto golden = drainPerOp(golden_trace);
-    ASSERT_EQ(golden.size(), 200u);
+    PhasedTrace per_op = make();
+    const auto golden = drainPerOp(per_op);
+    ASSERT_EQ(golden.size(), 340u);
 
-    // Cancel mid-phase-0, observe the pause, resume, and check the
-    // full stream is intact on each surface.
-    const auto check = [&](auto &&pull) {
-        bool cancelled = false;
-        PhasedTrace phased = make(&cancelled);
-        std::vector<isa::MicroOp> ops = pull(phased, 64);
-        ASSERT_EQ(ops.size(), 64u);
-
-        cancelled = true;
-        EXPECT_TRUE(phased.cancelled());
-        EXPECT_TRUE(pull(phased, 64).empty());
-        // The cursor must still be on the paused phase 0.
-        EXPECT_EQ(phased.currentPhase(), 0u);
-
-        cancelled = false;
-        while (true) {
-            const auto got = pull(phased, 64);
-            ops.insert(ops.end(), got.begin(), got.end());
-            if (got.size() < 64)
-                break;
-        }
-        expectSameStream(ops, golden);
-    };
-
-    check([](PhasedTrace &source, std::size_t n) {
-        MicroOpBatch buf;
-        std::vector<isa::MicroOp> ops;
-        pullLanes(source, buf, n, ops);
-        return ops;
-    });
-    check([](PhasedTrace &source, std::size_t n) {
-        MicroOpBatch lanes;
-        const std::size_t got = source.nextBatchSoA(lanes, 0, n);
-        std::vector<isa::MicroOp> ops;
-        for (std::size_t i = 0; i < got; ++i)
-            ops.push_back(lanes.get(i));
-        return ops;
-    });
-    check([](PhasedTrace &source, std::size_t n) {
-        std::vector<isa::MicroOp> ops;
-        isa::MicroOp op;
-        while (ops.size() < n && source.next(op))
-            ops.push_back(op);
-        return ops;
-    });
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+        PhasedTrace phased = make();
+        expectSameStream(drainBatched(phased, batch), golden);
+    }
 }
 
 } // namespace
